@@ -31,7 +31,10 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_right
+from collections.abc import Callable
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -197,9 +200,11 @@ class MctsState:
     _pos: np.ndarray = field(init=False, repr=False)
     _scratch: np.ndarray = field(init=False, repr=False)
     _cur_pos: np.ndarray = field(init=False, repr=False)
+    _cand_lists: list[list[int]] = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         n = self.instance.n
+        self._cand_lists = self.candidates.tolist()
         self._row_sums = self.W.sum(axis=1)
         self._iota = np.arange(n, dtype=np.int64)
         self._pos = np.empty(n, dtype=np.int64)
@@ -267,12 +272,40 @@ def omega(state: MctsState, i: int) -> float:
     return float(state._row_sums[i] / (state.n - 1))
 
 
-def _potentials(state: MctsState, v: int, targets: np.ndarray) -> np.ndarray:
-    om = state._row_sums[v] / (state.n - 1)
+def _scorer(state: MctsState) -> Callable[[int, list[int]], list[float]]:
+    """``potentials(v, targets)``: ``potential(v, u)`` for each ``u`` in
+    ``targets``, as Python floats, at the current ``M``.
+
+    The returned function reads ``W``, ``Q`` and the row sums live, but
+    fixes ``M``; make a new one after ``M`` changes.
+    """
+    w = state.W.item
+    q = state.Q.item
+    row_sum = state._row_sums.item
+    n1 = state.n - 1
+    alpha = state.params.alpha
     bonus = math.log(state.M + 1.0)
-    return state.W[v, targets] / om + state.params.alpha * np.sqrt(
-        bonus / (state.Q[v, targets] + 1.0)
-    )
+    sqrt = math.sqrt
+
+    def potentials(v: int, targets: list[int]) -> list[float]:
+        om = row_sum(v) / n1
+        return [w(v, u) / om + alpha * sqrt(bonus / (q(v, u) + 1.0)) for u in targets]
+
+    return potentials
+
+
+def _pick(z: list[float], rng: np.random.Generator) -> int:
+    """Index sampled proportionally to ``z`` (uniform if ``z`` is degenerate).
+
+    Sums left to right and bisects to the first cumulative sum greater than
+    ``rng.random() * total``, clamped to the last index.
+    """
+    cum = list(accumulate(z))
+    last = len(cum) - 1
+    total = cum[last]
+    if not math.isfinite(total) or total <= 0.0:
+        return int(rng.integers(last + 1))
+    return min(bisect_right(cum, rng.random() * total), last)
 
 
 def edge_potential(state: MctsState, i: int, j: int) -> float:
@@ -281,7 +314,7 @@ def edge_potential(state: MctsState, i: int, j: int) -> float:
         raise ValueError("edge potential is undefined on the diagonal")
     if not (0 <= i < state.n and 0 <= j < state.n):
         raise ValueError("vertex index out of range")
-    return float(_potentials(state, i, np.array([j], dtype=np.int64))[0])
+    return _scorer(state)(i, [j])[0]
 
 
 def transition_probs(
@@ -296,24 +329,15 @@ def transition_probs(
     if not 0 <= v < state.n:
         raise ValueError("vertex index out of range")
     excl = {int(e) for e in exclude}
-    keep = np.array([int(c) for c in state.candidates[v] if int(c) not in excl], dtype=np.int64)
-    if keep.size == 0:
+    keep = [c for c in state._cand_lists[v] if c not in excl]
+    if not keep:
         raise NoCandidateError(f"no candidate transitions out of vertex {v}")
-    z = _potentials(state, v, keep)
+    z = np.array(_scorer(state)(v, keep))
+    vertices = np.array(keep, dtype=np.int64)
     total = float(z.sum())
     if not math.isfinite(total) or total <= 0.0:
-        return keep, np.full(keep.size, 1.0 / keep.size)
-    return keep, z / total
-
-
-def _weighted_pick(z: np.ndarray, rng: np.random.Generator) -> int:
-    """Index sampled proportionally to ``z`` (uniform if ``z`` is degenerate)."""
-    cum = np.cumsum(z)
-    total = float(cum[-1])
-    if not math.isfinite(total) or total <= 0.0:
-        return int(rng.integers(z.shape[0]))
-    x = rng.random() * total
-    return min(int(np.searchsorted(cum, x, side="right")), z.shape[0] - 1)
+        return vertices, np.full(vertices.size, 1.0 / vertices.size)
+    return vertices, z / total
 
 
 def _construct_order(state: MctsState, rng: np.random.Generator) -> np.ndarray:
@@ -323,11 +347,12 @@ def _construct_order(state: MctsState, rng: np.random.Generator) -> np.ndarray:
     v = int(rng.integers(n))
     order[0] = v
     visited[v] = True
+    is_visited = visited.item
+    potentials = _scorer(state)
     for i in range(1, n):
-        cands = state.candidates[v]
-        open_ = cands[~visited[cands]]
-        if open_.size:
-            u = int(open_[_weighted_pick(_potentials(state, v, open_), rng)])
+        open_ = [c for c in state._cand_lists[v] if not is_visited(c)]
+        if open_:
+            u = open_[_pick(potentials(v, open_), rng)]
         else:
             # all candidates used up: hop to the nearest unvisited vertex
             u = int(np.argmin(np.where(visited, np.inf, state.d[v])))
@@ -355,6 +380,20 @@ def _sample_action(
     Returns ``(action, order, length)`` where ``order`` is the resulting
     tour (a scratch buffer overwritten by the next call) and ``length`` its
     closed length, or ``None`` when the anchor admits no extension at all.
+
+    Each step looks at no more than ``k`` candidates, so it runs as scalar
+    Python: numpy's per-call cost would exceed the work.  Only the O(n)
+    rotation, segment reversal and ``pos`` update stay as numpy slices.  The
+    draws equal, bit for bit, those of the array formulation (``np.cumsum``
+    and ``searchsorted`` over potential arrays):
+
+    - edges are keyed by the integer ``u * n + v`` with ``u < v``, one key
+      per unordered pair, so the same edges are excluded as with tuples;
+    - each potential is the same IEEE double arithmetic in the same order,
+      and ``_pick`` sums them left to right, exactly as ``np.cumsum`` does;
+    - each pick draws one ``rng.random()`` and bisects as
+      ``searchsorted(side="right")`` does, or draws one ``rng.integers`` on
+      a row whose total is zero or not finite.
     """
     n = state.n
     order = state._scratch
@@ -362,67 +401,67 @@ def _sample_action(
     cur = state.current
 
     a1 = int(rng.integers(n))
-    i0 = int(state._cur_pos[a1])
+    i0 = state._cur_pos.item(a1)
     m = n - i0
     order[:m] = cur[i0:]
     order[m:] = cur[:i0]
-    pos[order] = state._iota
+    iota = state._iota
+    pos[order] = iota
 
-    b = int(order[1])
+    pos_of = pos.item
+    at = order.item
+    dist = state.d.item
+    cand_lists = state._cand_lists
+    potentials = _scorer(state)
+    b = at(1)
     c0 = state.current_length
     length = c0
-    deleted = {_edge(a1, b)}
-    added: set[tuple[int, int]] = set()
+    deleted = {a1 * n + b if a1 < b else b * n + a1}
+    added: set[int] = set()
     seq = [a1, b]
-    d = state.d
-    alpha = state.params.alpha
-    bonus = math.log(state.M + 1.0)
     max_depth = state.params.max_depth
     k = 1
 
     while True:
-        cands = state.candidates[b]
-        pc = pos[cands]
         # Feasible extension targets c for the new edge (b, c):
         #  - positions 0..2 are the anchor, b itself, and b's successor
         #    (closing, a no-op chord, or an existing edge);
         #  - the chord must not recreate a deleted edge;
         #  - the edge (pred(c), c) deleted next must not be a chord we added.
-        idxs = []
-        for t in range(cands.shape[0]):
-            if pc[t] < 3:
+        feasible = []
+        for c in cand_lists[b]:
+            j = pos_of(c)
+            if j < 3:
                 continue
-            c = int(cands[t])
-            if _edge(b, c) in deleted:
+            if (b * n + c if b < c else c * n + b) in deleted:
                 continue
-            if added and _edge(int(order[pc[t] - 1]), c) in added:
-                continue
-            idxs.append(t)
-        if not idxs:
+            if added:
+                p = at(j - 1)
+                if (p * n + c if p < c else c * n + p) in added:
+                    continue
+            feasible.append(c)
+        if not feasible:
             # dead end: close with what we have, unless the closing edge
             # (b, a1) would recreate a deleted edge (at k=1 it always would)
-            if k >= 2 and _edge(a1, b) not in deleted:
+            if k >= 2 and (a1 * n + b if a1 < b else b * n + a1) not in deleted:
                 break
             return None
-        sel = cands[idxs]
-        om = state._row_sums[b] / (n - 1)
-        z = state.W[b, sel] / om + alpha * np.sqrt(bonus / (state.Q[b, sel] + 1.0))
-        c = int(sel[_weighted_pick(z, rng)])
+        c = feasible[_pick(potentials(b, feasible), rng)]
 
-        j = int(pos[c])
-        bn = int(order[j - 1])
-        length += d[a1, bn] + d[b, c] - d[a1, b] - d[bn, c]
-        deleted.add(_edge(c, bn))
-        added.add(_edge(b, c))
+        j = pos_of(c)
+        bn = at(j - 1)
+        length += dist(a1, bn) + dist(b, c) - dist(a1, b) - dist(bn, c)
+        deleted.add(bn * n + c if bn < c else c * n + bn)
+        added.add(b * n + c if b < c else c * n + b)
         seq.append(c)
         seq.append(bn)
         order[1:j] = order[1:j][::-1]
-        pos[order[1:j]] = state._iota[1:j]
+        pos[order[1:j]] = iota[1:j]
         b = bn
         k += 1
         # a reversal can bring b1 back next to the anchor, making the
         # closing edge (b, a1) one we already deleted; then extend instead
-        closeable = _edge(a1, b) not in deleted
+        closeable = (a1 * n + b if a1 < b else b * n + a1) not in deleted
         if (length < c0 or k >= max_depth) and closeable:
             break
         if k >= max_depth:
@@ -539,7 +578,9 @@ def mcts_solve(
     fails = 0
     restarts = 0
 
-    while True:
+    # on 2 or 3 vertices no k-opt action exists and every tour has the same
+    # length, so the initial tour is returned without searching
+    while state.n > 3:
         now = time.perf_counter() - t0
         if cps is not None:
             while ci < len(cps) and now >= cps[ci]:

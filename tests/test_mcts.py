@@ -1,4 +1,7 @@
+import hashlib
+import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -20,6 +23,7 @@ from tsplab.mcts import (
     KoptAction,
     MctsParams,
     NoCandidateError,
+    _pick,
     apply_kopt,
     backpropagate,
     construct_tour,
@@ -33,6 +37,7 @@ from tsplab.mcts import (
     solve_with_trace,
     transition_probs,
 )
+from tsplab.tuner import default_tau
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -221,6 +226,56 @@ class TestTransitionProbs:
             kb, pb = transition_probs(b, v)
             assert np.array_equal(ka, kb)
             assert np.allclose(pa, pb, atol=1e-12)
+
+
+def _reference_pick(z: np.ndarray, rng: np.random.Generator) -> int:
+    # the array formulation _pick must reproduce draw for draw
+    cum = np.cumsum(z)
+    total = float(cum[-1])
+    if not math.isfinite(total) or total <= 0.0:
+        return int(rng.integers(z.shape[0]))
+    x = rng.random() * total
+    return min(int(np.searchsorted(cum, x, side="right")), z.shape[0] - 1)
+
+
+class TestPick:
+    @staticmethod
+    def _same_draw(z: list[float], seed: int) -> int:
+        got_rng, ref_rng = rng_for(seed, 0, "pick"), rng_for(seed, 0, "pick")
+        got = _pick(z, got_rng)
+        assert got == _reference_pick(np.array(z), ref_rng)
+        state = [json.dumps(r.bit_generator.state, default=np.ndarray.tolist)
+                 for r in (got_rng, ref_rng)]
+        assert state[0] == state[1]
+        return got
+
+    def test_random_weights(self):
+        gen = np.random.default_rng(0)
+        for seed in range(300):
+            z = gen.random(int(gen.integers(1, 7)))
+            z[gen.random(z.shape[0]) < 0.3] = 0.0
+            self._same_draw(z.tolist(), seed)
+
+    def test_draw_on_a_cumulative_boundary(self):
+        hits = 0
+        for seed in range(40):
+            u = rng_for(seed, 0, "pick").random()
+            if u < 0.5:
+                continue
+            # for u >= 0.5 both 1 - u and u + (1 - u) are exact, so the
+            # drawn x = u * 1.0 equals the first cumulative sum
+            z = [u, 0.0, 1.0 - u]
+            assert u + (1.0 - u) == 1.0
+            assert self._same_draw(z, seed) == 2
+            assert self._same_draw([u, 1.0 - u], seed) == 1
+            hits += 1
+        assert hits >= 10
+
+    def test_degenerate_rows_draw_uniformly(self):
+        for seed in range(50):
+            self._same_draw([0.0, 0.0, 0.0, 0.0], seed)
+            self._same_draw([1.0, math.inf, 2.0], seed)
+            self._same_draw([0.0], seed)
 
 
 class TestConstructTour:
@@ -497,9 +552,72 @@ class TestMctsSolve:
         result = mcts_solve(inst, h, params)
         assert trace[-1][1] == result.best_length
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_tiny_instances_return_at_once(self, n):
+        inst = generate_instances(n, 1, seed=13)[0]
+        params = MctsParams(time_budget=5.0, seed=13, max_actions=50)
+        t0 = time.perf_counter()
+        result = mcts_solve(inst, _uniform_heatmap(n), params, checkpoints=[1.0, 5.0])
+        assert time.perf_counter() - t0 < 0.5
+        assert result.actions_sampled == 0 and result.restarts == 0
+        assert is_permutation(result.best.order, n)
+        assert abs(result.best_length - tour_length(inst, result.best)) < 1e-12
+        assert result.trace == [(1.0, result.best_length), (5.0, result.best_length)]
+
     def test_restarts_on_stagnation(self):
         inst = generate_instances(20, 1, seed=12)[0]
         params = MctsParams(time_budget=0.4, seed=12, stagnation_limit=40)
         result = mcts_solve(inst, _uniform_heatmap(20), params)
         assert result.restarts >= 1
         assert abs(result.best_length - tour_length(inst, result.best)) < 1e-12
+
+
+def _nearest_pair_heatmap(inst: TspInstance) -> np.ndarray:
+    # weight 1 on each vertex's two nearest neighbours and 0 elsewhere: with
+    # k=5 most candidates carry no weight, so under alpha=0 a row of feasible
+    # candidates can sum to zero
+    d = distance_matrix(inst)
+    np.fill_diagonal(d, np.inf)
+    h = np.zeros_like(d)
+    np.put_along_axis(h, np.argsort(d, axis=1)[:, :2], 1.0, axis=1)
+    return h
+
+
+# Capped solves pinned bit for bit: (best_length, sha256 of best.order as
+# int64 bytes, first 16 hex digits, actions_sampled, restarts).  Together the
+# cases reach every branch of the sampler: restarts through _construct_order
+# (including its nearest-unvisited hop), dead ends, the uniform pick on a
+# zero-potential row (alpha=0 case) and closing at max_depth (depth-2 case).
+GOLDEN = {
+    "softdist": (7.355936183614727, "8de7a713e3a95118", 3000, 8),
+    "zeros": (6.285277797027128, "d88e2020defce6f1", 2000, 11),
+    "sparse_alpha0": (6.175609111642939, "135c0f11c392f898", 2000, 14),
+    "depth2": (6.485208879102057, "b78b230fc728b504", 2000, 10),
+}
+
+
+def _golden_case(name: str):
+    if name == "softdist":
+        inst = generate_instances(80, 1, seed=21)[0]
+        h = softdist(inst, default_tau(80))
+        return inst, h, dict(seed=5, max_actions=3000, stagnation_limit=150)
+    if name == "zeros":
+        inst = generate_instances(60, 1, seed=22)[0]
+        return inst, zeros_heatmap(60), dict(seed=6, max_actions=2000, stagnation_limit=150)
+    if name == "sparse_alpha0":
+        inst = generate_instances(60, 1, seed=23)[0]
+        h = _nearest_pair_heatmap(inst)
+        return inst, h, dict(seed=7, alpha=0.0, max_actions=2000, stagnation_limit=100)
+    inst = generate_instances(70, 1, seed=24)[0]
+    h = softdist(inst, default_tau(70))
+    return inst, h, dict(seed=8, max_depth=2, max_actions=2000, stagnation_limit=200)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_capped_output(name):
+    inst, h, kw = _golden_case(name)
+    result = mcts_solve(inst, h, MctsParams(time_budget=600.0, **kw))
+    digest = hashlib.sha256(np.asarray(result.best.order, dtype=np.int64).tobytes())
+    got = (result.best_length, digest.hexdigest()[:16], result.actions_sampled, result.restarts)
+    assert repr(got[0]) == repr(GOLDEN[name][0])
+    assert got == GOLDEN[name]
