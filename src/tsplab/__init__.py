@@ -2,149 +2,8 @@
 
 Uniform instance generation, distance-softmax heatmaps, a heatmap-guided
 Monte-Carlo k-opt search, temperature tuning, and Gap/Score benchmarking.
+Names are imported from their modules (``tsplab.geometry``, ``tsplab.mcts``,
+...); the package root holds only ``__version__``.
 """
 
-from .geometry import (
-    BRUTE_FORCE_MAX_N,
-    Tour,
-    TspInstance,
-    UnsupportedSizeError,
-    brute_force_optimal,
-    cycle_length,
-    distance_matrix,
-    generate_instances,
-    is_permutation,
-    nearest_neighbor_tour,
-    random_tour,
-    rng_for,
-    tour_length,
-    two_opt,
-)
-from .heatmap import (
-    DegenerateTemperatureError,
-    candidate_sets,
-    softdist,
-    symmetrize,
-    validate_heatmap,
-    zeros_heatmap,
-)
-from .mcts import (
-    ENGINE_NOTES,
-    InvalidActionError,
-    KoptAction,
-    MctsParams,
-    MctsState,
-    NoCandidateError,
-    SolveResult,
-    apply_kopt,
-    backpropagate,
-    construct_tour,
-    default_time_budget,
-    edge_potential,
-    init_state,
-    invert_action,
-    mcts_solve,
-    omega,
-    sample_kopt,
-    solve_with_trace,
-    transition_probs,
-)
-from .tuner import GridSpec, TuneResult, default_grid, default_tau, evaluate_tau, grid_search_tau
-from .bench import (
-    SCORE_SENTINEL,
-    BenchReport,
-    MctsRunSpec,
-    RunRecord,
-    UndefinedScoreError,
-    aggregate,
-    compute_gap,
-    compute_score,
-    instance_seed,
-    run_bench,
-    run_single,
-)
-from .fileio import (
-    HEATMAP_MAGIC,
-    ParseError,
-    parse_heatmap,
-    parse_instances,
-    parse_ref_lengths,
-    render_report,
-    render_tune_table,
-    write_heatmap,
-    write_instances,
-    write_manifest,
-    write_ref_lengths,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "BRUTE_FORCE_MAX_N",
-    "BenchReport",
-    "DegenerateTemperatureError",
-    "ENGINE_NOTES",
-    "GridSpec",
-    "HEATMAP_MAGIC",
-    "InvalidActionError",
-    "KoptAction",
-    "MctsParams",
-    "MctsRunSpec",
-    "MctsState",
-    "NoCandidateError",
-    "ParseError",
-    "RunRecord",
-    "SCORE_SENTINEL",
-    "SolveResult",
-    "Tour",
-    "TspInstance",
-    "TuneResult",
-    "UndefinedScoreError",
-    "UnsupportedSizeError",
-    "aggregate",
-    "apply_kopt",
-    "backpropagate",
-    "brute_force_optimal",
-    "candidate_sets",
-    "compute_gap",
-    "compute_score",
-    "construct_tour",
-    "cycle_length",
-    "default_grid",
-    "default_tau",
-    "default_time_budget",
-    "distance_matrix",
-    "edge_potential",
-    "evaluate_tau",
-    "generate_instances",
-    "grid_search_tau",
-    "init_state",
-    "instance_seed",
-    "invert_action",
-    "is_permutation",
-    "mcts_solve",
-    "nearest_neighbor_tour",
-    "omega",
-    "parse_heatmap",
-    "parse_instances",
-    "parse_ref_lengths",
-    "random_tour",
-    "render_report",
-    "render_tune_table",
-    "rng_for",
-    "run_bench",
-    "run_single",
-    "sample_kopt",
-    "softdist",
-    "solve_with_trace",
-    "symmetrize",
-    "tour_length",
-    "transition_probs",
-    "two_opt",
-    "validate_heatmap",
-    "write_heatmap",
-    "write_instances",
-    "write_manifest",
-    "write_ref_lengths",
-    "zeros_heatmap",
-]

@@ -12,17 +12,17 @@ from __future__ import annotations
 import struct
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from hashlib import blake2b
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .fileio import parse_heatmap
 from .geometry import TspInstance
 from .heatmap import softdist, validate_heatmap, zeros_heatmap
-from .mcts import ENGINE_NOTES, MctsParams, mcts_solve
+from .mcts import MctsParams, mcts_solve
 
 _MASK64 = (1 << 64) - 1
 
@@ -40,7 +40,8 @@ class MctsRunSpec:
     """What to run over a batch: heatmap source plus search parameters.
 
     ``heatmap_path`` for the external method may be a single heatmap file
-    (one-instance batches) or a directory holding ``<instance_id>.hmap``.
+    (one-instance batches, see :meth:`check_batch`) or a directory holding
+    ``<instance_id>.hmap``.
     """
 
     method: str
@@ -60,6 +61,15 @@ class MctsRunSpec:
             raise ValueError("external runs need a heatmap path")
         if self.method != "external" and self.heatmap_path:
             raise ValueError("heatmap_path is only meaningful for the external method")
+
+    def check_batch(self, count: int) -> None:
+        """Refuse a single external heatmap file for a batch of ``count`` > 1
+        instances, which would solve every instance with the same map."""
+        if count > 1 and self.method == "external" and not Path(self.heatmap_path).is_dir():
+            raise ValueError(
+                f"heatmap path {self.heatmap_path} is not a directory; a batch of {count} "
+                "instances needs a directory of <instance_id>.hmap files"
+            )
 
     def label(self) -> str:
         if self.method == "softdist":
@@ -101,7 +111,6 @@ class BenchReport:
     solve_seconds: float
     heatmap_seconds: float
     records: list[RunRecord]
-    notes: list[str] = field(default_factory=lambda: list(ENGINE_NOTES))
 
     def to_dict(self) -> dict:
         recs = []
@@ -128,7 +137,6 @@ class BenchReport:
             "score_display": self.score_display,
             "solve_seconds": self.solve_seconds,
             "heatmap_seconds": self.heatmap_seconds,
-            "notes": list(self.notes),
             "records": recs,
         }
 
@@ -158,6 +166,55 @@ def compute_score(gap_reference: float, gap_search: float) -> float:
     return gap_reference / gap_search
 
 
+def score_display(gap_reference: float, gap_search: float) -> tuple[float | None, str]:
+    """Score and its rendering; ``(None, SCORE_SENTINEL)`` when the search
+    gap is not positive."""
+    try:
+        score = compute_score(gap_reference, gap_search)
+    except UndefinedScoreError:
+        return None, SCORE_SENTINEL
+    return score, f"{score * 100:.2f}%"
+
+
+class Gaps(NamedTuple):
+    """The gap and score rows of one table of lengths."""
+
+    gap: float
+    gap_ratio_of_means: float
+    gap_reference: float | None = None
+    score: float | None = None
+    score_display: str | None = None
+
+
+def gap_rows(
+    ids: Sequence[str],
+    lengths: Sequence[float],
+    refs: Mapping[str, float],
+    reference_lengths: Mapping[str, float] | None = None,
+) -> Gaps:
+    """Gap of ``lengths`` (one per id) against ``refs``; with
+    ``reference_lengths`` also the reference-solver gap and the Score.
+
+    Raises ``ValueError`` naming any id that ``refs`` or
+    ``reference_lengths`` lacks.
+    """
+    missing = sorted({i for i in ids if i not in refs})
+    if missing:
+        raise ValueError(f"missing reference lengths for instance ids: {missing}")
+    if reference_lengths is not None:
+        missing = sorted({i for i in ids if i not in reference_lengths})
+        if missing:
+            raise ValueError(f"missing reference-solver lengths for instance ids: {missing}")
+    searched = np.array(lengths, dtype=np.float64)
+    ref_arr = np.array([refs[i] for i in ids])
+    gap = compute_gap(searched, ref_arr)
+    gap_rom = float(searched.sum() / ref_arr.sum() - 1.0)
+    if reference_lengths is None:
+        return Gaps(gap, gap_rom)
+    gap_reference = compute_gap([reference_lengths[i] for i in ids], ref_arr)
+    return Gaps(gap, gap_rom, gap_reference, *score_display(gap_reference, gap))
+
+
 def instance_seed(base_seed: int, instance: TspInstance) -> int:
     """Per-instance solve seed derived from the instance's content.
 
@@ -185,8 +242,13 @@ def _heatmap_for(instance: TspInstance, spec: MctsRunSpec, instance_id: str):
     return h, time.perf_counter() - t0
 
 
-def _run_one(task) -> RunRecord:
-    instance, instance_id, spec, checkpoints = task
+def run_single(
+    instance: TspInstance,
+    spec: MctsRunSpec,
+    instance_id: str = "0",
+    checkpoints: list[float] | None = None,
+) -> RunRecord:
+    """Solve one instance under a run spec; run_bench solves each instance here."""
     h, h_seconds = _heatmap_for(instance, spec, instance_id)
     seed = instance_seed(spec.params.seed, instance)
     result = mcts_solve(instance, h, replace(spec.params, seed=seed), checkpoints=checkpoints)
@@ -199,16 +261,6 @@ def _run_one(task) -> RunRecord:
         heatmap_seconds=h_seconds,
         trace=result.trace,
     )
-
-
-def run_single(
-    instance: TspInstance,
-    spec: MctsRunSpec,
-    instance_id: str = "0",
-    checkpoints: list[float] | None = None,
-) -> RunRecord:
-    """Solve one instance under a run spec (same path run_bench uses)."""
-    return _run_one((instance, instance_id, spec, checkpoints))
 
 
 def run_bench(
@@ -227,11 +279,13 @@ def run_bench(
         raise ValueError("instance list must be non-empty")
     if workers < 1:
         raise ValueError("workers must be at least 1")
-    tasks = [(inst, str(i), spec, checkpoints) for i, inst in enumerate(instances)]
-    if workers == 1 or len(tasks) == 1:
-        return [_run_one(t) for t in tasks]
+    n = len(instances)
+    spec.check_batch(n)
+    args = (instances, [spec] * n, [str(i) for i in range(n)], [checkpoints] * n)
+    if workers == 1 or n == 1:
+        return list(map(run_single, *args))
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_run_one, tasks))
+        return list(pool.map(run_single, *args))
 
 
 def aggregate(
@@ -249,40 +303,14 @@ def aggregate(
     """
     if not records:
         raise ValueError("no records to aggregate")
-    ids = [r.instance_id for r in records]
-    missing = sorted({i for i in ids if i not in refs})
-    if missing:
-        raise ValueError(f"missing reference lengths for instance ids: {missing}")
-    lengths = np.array([r.length for r in records])
-    ref_arr = np.array([refs[i] for i in ids])
-    gap = compute_gap(lengths, ref_arr)
-    gap_rom = float(lengths.sum() / ref_arr.sum() - 1.0)
-
-    gap_reference = None
-    score = None
-    score_display = None
-    if reference_lengths is not None:
-        missing = sorted({i for i in ids if i not in reference_lengths})
-        if missing:
-            raise ValueError(f"missing reference-solver lengths for instance ids: {missing}")
-        ref_solver = np.array([reference_lengths[i] for i in ids])
-        gap_reference = compute_gap(ref_solver, ref_arr)
-        try:
-            score = compute_score(gap_reference, gap)
-            score_display = f"{score * 100:.2f}%"
-        except UndefinedScoreError:
-            score_display = SCORE_SENTINEL
-
+    lengths = [r.length for r in records]
+    gaps = gap_rows([r.instance_id for r in records], lengths, refs, reference_lengths)
     methods = sorted({r.method for r in records})
     return BenchReport(
         method=methods[0] if len(methods) == 1 else "+".join(methods),
         count=len(records),
-        length_mean=float(lengths.mean()),
-        gap=gap,
-        gap_ratio_of_means=gap_rom,
-        gap_reference=gap_reference,
-        score=score,
-        score_display=score_display,
+        length_mean=float(np.mean(lengths)),
+        **gaps._asdict(),
         solve_seconds=float(sum(r.elapsed for r in records)),
         heatmap_seconds=float(sum(r.heatmap_seconds for r in records)),
         records=list(records),

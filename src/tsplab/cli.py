@@ -12,16 +12,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .bench import (
-    SCORE_SENTINEL,
-    MctsRunSpec,
-    UndefinedScoreError,
-    aggregate,
-    compute_gap,
-    compute_score,
-    run_bench,
-    run_single,
-)
+from .bench import MctsRunSpec, aggregate, gap_rows, run_bench, run_single, score_display
 from .fileio import (
     parse_instances,
     parse_ref_lengths,
@@ -34,7 +25,7 @@ from .fileio import (
 )
 from .geometry import brute_force_optimal, generate_instances
 from .heatmap import softdist, zeros_heatmap
-from .mcts import ENGINE_NOTES, MctsParams, default_time_budget
+from .mcts import MctsParams, default_time_budget
 from .tuner import GridSpec, default_tau, grid_search_tau
 
 
@@ -125,16 +116,16 @@ def cmd_solve(args: argparse.Namespace) -> int:
     pairs = parse_instances(args.infile)
     if not pairs:
         raise ValueError(f"{args.infile}: no instances")
+    specs = [_solve_spec(args, inst) for inst, _ in pairs]
+    specs[0].check_batch(len(specs))
     records = []
-    for i, (inst, _) in enumerate(pairs):
-        rec = run_single(inst, _solve_spec(args, inst), str(i), checkpoints)
+    for i, ((inst, _), spec) in enumerate(zip(pairs, specs)):
+        rec = run_single(inst, spec, str(i), checkpoints)
         records.append(rec)
         print(f"instance {rec.instance_id}: length {rec.length:.6f} in {rec.elapsed:.2f}s")
     if args.out:
         write_ref_lengths(args.out, {r.instance_id: r.length for r in records})
-        write_manifest(
-            args.out, "solve", _manifest_params(args, engine_notes=list(ENGINE_NOTES)), __version__
-        )
+        write_manifest(args.out, "solve", _manifest_params(args), __version__)
         print(f"wrote lengths to {args.out}")
     if args.trace:
         with open(args.trace, "w") as fh:
@@ -165,9 +156,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
     text = render_tune_table(result, args.report)
     if args.out:
         Path(args.out).write_text(text)
-        write_manifest(
-            args.out, "tune", _manifest_params(args, engine_notes=list(ENGINE_NOTES)), __version__
-        )
+        write_manifest(args.out, "tune", _manifest_params(args), __version__)
         print(f"wrote tuning table to {args.out}")
     else:
         sys.stdout.write(text)
@@ -215,32 +204,18 @@ def cmd_score(args: argparse.Namespace) -> int:
         vals = _parse_floats(args.gaps, "--gaps")
         if len(vals) != 2:
             return _usage("--gaps needs exactly two values: reference_gap,search_gap")
-        try:
-            print(f"{compute_score(vals[0], vals[1]) * 100:.2f}%")
-        except UndefinedScoreError:
-            print(SCORE_SENTINEL)
+        print(score_display(vals[0], vals[1])[1])
         return 0
     if not (args.refs and args.lengths):
         return _usage("give either --gaps or both --refs and --lengths")
     refs = parse_ref_lengths(args.refs)
     lengths = parse_ref_lengths(args.lengths)
-    missing = sorted(set(lengths) - set(refs))
-    if missing:
-        raise ValueError(f"no reference length for instance ids: {missing}")
-    ids = list(lengths)
-    gap = compute_gap([lengths[i] for i in ids], [refs[i] for i in ids])
-    print(f"gap: {gap * 100:.4f}%")
-    if args.reference_lengths:
-        reference = parse_ref_lengths(args.reference_lengths)
-        missing = sorted(set(ids) - set(reference))
-        if missing:
-            raise ValueError(f"no reference-solver length for instance ids: {missing}")
-        gap_ref = compute_gap([reference[i] for i in ids], [refs[i] for i in ids])
-        print(f"reference-solver gap: {gap_ref * 100:.4f}%")
-        try:
-            print(f"score: {compute_score(gap_ref, gap) * 100:.2f}%")
-        except UndefinedScoreError:
-            print(f"score: {SCORE_SENTINEL}")
+    reference = parse_ref_lengths(args.reference_lengths) if args.reference_lengths else None
+    gaps = gap_rows(list(lengths), list(lengths.values()), refs, reference)
+    print(f"gap: {gaps.gap * 100:.4f}%")
+    if reference is not None:
+        print(f"reference-solver gap: {gaps.gap_reference * 100:.4f}%")
+        print(f"score: {gaps.score_display}")
     return 0
 
 

@@ -255,12 +255,10 @@ def render_report(report, fmt: str) -> str:
             f"| score | {score} |",
             f"| solve seconds | {report.solve_seconds:.2f} |",
             f"| heatmap seconds | {report.heatmap_seconds:.2f} |",
+            "",
+            "| instance_id | length | elapsed_seconds |",
+            "| --- | --- | --- |",
         ]
-        for note in report.notes:
-            lines.append(f"| note | {note} |")
-        lines.append("")
-        lines.append("| instance_id | length | elapsed_seconds |")
-        lines.append("| --- | --- | --- |")
         for r in report.records:
             lines.append(f"| {r.instance_id} | {r.length:.6f} | {r.elapsed:.3f} |")
         return "\n".join(lines) + "\n"

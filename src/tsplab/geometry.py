@@ -136,13 +136,6 @@ def cycle_length(d: np.ndarray, order: np.ndarray) -> float:
     return float(d[order, np.roll(order, -1)].sum())
 
 
-def random_tour(n: int, rng: np.random.Generator) -> Tour:
-    """Uniformly random permutation tour."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    return Tour(rng.permutation(n))
-
-
 def nearest_neighbor_tour(instance: TspInstance, start: int = 0) -> Tour:
     """Greedy tour: repeatedly hop to the nearest unvisited vertex.
 

@@ -84,10 +84,3 @@ def candidate_sets(heatmap: np.ndarray, k: int) -> np.ndarray:
     ranked = np.lexsort((ties, -scored), axis=-1)
     return np.ascontiguousarray(ranked[:, : min(k, n - 1)].astype(np.int64))
 
-
-def symmetrize(h: np.ndarray) -> np.ndarray:
-    """Average a heatmap with its transpose."""
-    h = np.asarray(h, dtype=np.float64)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError("heatmap must be square")
-    return (h + h.T) / 2.0

@@ -35,6 +35,7 @@ from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import accumulate
+from numbers import Integral
 
 import numpy as np
 
@@ -48,14 +49,6 @@ from .geometry import (
     rng_for,
 )
 from .heatmap import candidate_sets, validate_heatmap
-
-ENGINE_NOTES: tuple[str, ...] = (
-    "edge weights and visit counts persist across stagnation restarts",
-)
-
-
-class NoCandidateError(ValueError):
-    """Every candidate of a vertex was excluded; no transition exists."""
 
 
 class InvalidActionError(ValueError):
@@ -84,8 +77,13 @@ class MctsParams:
     def __post_init__(self) -> None:
         if not np.isfinite(self.time_budget) or self.time_budget <= 0.0:
             raise ValueError("time_budget must be positive")
-        if self.alpha < 0.0 or self.beta < 0.0:
-            raise ValueError("alpha and beta must be nonnegative")
+        # written so that NaN fails too
+        if not (0.0 <= self.alpha < math.inf and 0.0 <= self.beta < math.inf):
+            raise ValueError("alpha and beta must be finite and nonnegative")
+        optional = (self.stagnation_limit, self.max_actions)
+        counts = (self.k, self.max_depth) + tuple(c for c in optional if c is not None)
+        if not all(isinstance(c, Integral) for c in counts):
+            raise ValueError("k, max_depth, stagnation_limit and max_actions must be integers")
         if self.k < 1:
             raise ValueError("k must be at least 1")
         if self.max_depth < 2:
@@ -149,20 +147,6 @@ class KoptAction:
             raise InvalidActionError("action repeats an edge")
         if dels & adds:
             raise InvalidActionError("action adds an edge it also deletes")
-
-
-def invert_action(action: KoptAction) -> KoptAction:
-    """The reverse rewrite: deletes what ``action`` added and vice versa."""
-    v = action.vertices
-    k = action.k
-    a = v[0::2]  # a1..ak, then the closing anchor
-    b = v[1::2]  # b1..bk
-    inv = [a[0], b[k - 1]]
-    for i in range(2, k + 1):
-        inv.append(a[k + 1 - i])
-        inv.append(b[k - i])
-    inv.append(a[0])
-    return KoptAction(tuple(inv))
 
 
 @dataclass
@@ -315,29 +299,6 @@ def edge_potential(state: MctsState, i: int, j: int) -> float:
     if not (0 <= i < state.n and 0 <= j < state.n):
         raise ValueError("vertex index out of range")
     return _scorer(state)(i, [j])[0]
-
-
-def transition_probs(
-    state: MctsState, v: int, exclude: tuple[int, ...] | set[int] = ()
-) -> tuple[np.ndarray, np.ndarray]:
-    """Distribution over ``candidates(v)`` minus ``exclude``.
-
-    Returns ``(vertices, probabilities)`` with probability proportional to
-    each edge's potential.  If every potential is zero the distribution is
-    uniform over what remains.
-    """
-    if not 0 <= v < state.n:
-        raise ValueError("vertex index out of range")
-    excl = {int(e) for e in exclude}
-    keep = [c for c in state._cand_lists[v] if c not in excl]
-    if not keep:
-        raise NoCandidateError(f"no candidate transitions out of vertex {v}")
-    z = np.array(_scorer(state)(v, keep))
-    vertices = np.array(keep, dtype=np.int64)
-    total = float(z.sum())
-    if not math.isfinite(total) or total <= 0.0:
-        return vertices, np.full(vertices.size, 1.0 / vertices.size)
-    return vertices, z / total
 
 
 def _construct_order(state: MctsState, rng: np.random.Generator) -> np.ndarray:
@@ -625,16 +586,3 @@ def mcts_solve(
         trace=trace,
     )
 
-
-def solve_with_trace(
-    instance: TspInstance,
-    heatmap: np.ndarray,
-    params: MctsParams,
-    checkpoints: list[float] | tuple[float, ...],
-) -> list[tuple[float, float]]:
-    """Best-length-so-far series at the given checkpoint times."""
-    if checkpoints is None:
-        raise ValueError("checkpoints are required; use mcts_solve for plain solves")
-    result = mcts_solve(instance, heatmap, params, checkpoints=checkpoints)
-    assert result.trace is not None
-    return result.trace

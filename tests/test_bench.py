@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from tsplab import bench
 from tsplab.bench import (
     SCORE_SENTINEL,
     BenchReport,
@@ -19,7 +20,11 @@ from tsplab.bench import (
 from tsplab.fileio import write_heatmap
 from tsplab.geometry import brute_force_optimal, generate_instances
 from tsplab.heatmap import softdist
-from tsplab.mcts import ENGINE_NOTES, MctsParams
+from tsplab.mcts import MctsParams
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("no solve may start")
 
 
 class TestComputeGap:
@@ -188,6 +193,18 @@ class TestRunBench:
         )
         assert len(records) == 1
 
+    def test_single_heatmap_file_refuses_a_batch(self, tmp_path, monkeypatch):
+        instances = generate_instances(6, 3, seed=36)
+        path = tmp_path / "one.hmap"
+        write_heatmap(path, softdist(instances[0], 0.05))
+        spec = MctsRunSpec(
+            method="external", params=MctsParams(time_budget=10.0, max_actions=40),
+            heatmap_path=str(path),
+        )
+        monkeypatch.setattr(bench, "mcts_solve", _no_solve)
+        with pytest.raises(ValueError, match="not a directory"):
+            run_bench(instances, spec)
+
     def test_checkpoints_flow_into_records(self):
         instances = generate_instances(6, 2, seed=37)
         params = MctsParams(time_budget=0.06, seed=0)
@@ -267,4 +284,3 @@ class TestAggregate:
         assert d["gap"] == report.gap
         assert d["records"][0]["instance_id"] == "0"
         assert d["records"][0]["length"] == 1.25
-        assert ENGINE_NOTES[0] in d["notes"]

@@ -4,7 +4,15 @@ import numpy as np
 import pytest
 
 from tsplab.cli import main
-from tsplab.fileio import parse_heatmap, parse_instances, parse_ref_lengths, write_instances
+from tsplab.bench import RunRecord, aggregate
+from tsplab.fileio import (
+    parse_heatmap,
+    parse_instances,
+    parse_ref_lengths,
+    write_heatmap,
+    write_instances,
+    write_ref_lengths,
+)
 from tsplab.geometry import brute_force_optimal, generate_instances
 from tsplab.heatmap import softdist
 
@@ -148,6 +156,17 @@ class TestSolveCmd:
                      "--heatmap", str(h)]) == 0
         assert "instance 0: length" in capsys.readouterr().out
 
+    def test_single_heatmap_file_refuses_many_instances(self, tmp_path, capsys):
+        src = _gen(tmp_path, count=2)
+        h = tmp_path / "h.hmap"
+        write_heatmap(h, softdist(parse_instances(src)[0][0], 0.05))
+        capsys.readouterr()
+        assert main(["solve", "--in", str(src), "--budget", "0.05",
+                     "--heatmap", str(h)]) == 1
+        captured = capsys.readouterr()
+        assert "not a directory" in captured.err
+        assert "instance 0" not in captured.out
+
     def test_default_budget_with_action_cap(self, tmp_path, capsys):
         src = _gen(tmp_path, count=1)
         assert main(["solve", "--in", str(src), "--profile", "short",
@@ -233,6 +252,18 @@ class TestBenchCmd:
                      "--refs", str(refs)]) == 1
         assert "bad run spec" in capsys.readouterr().err
 
+    def test_non_integer_k_means_runtime_error(self, tmp_path, capsys):
+        src, refs, spec = self._setup(tmp_path)
+        spec.write_text(json.dumps(
+            {"method": "zeros", "params": {"time_budget": 10.0, "k": 2.5, "max_actions": 60}}
+        ))
+        capsys.readouterr()
+        assert main(["bench", "--in", str(src), "--spec", str(spec),
+                     "--refs", str(refs)]) == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert "Traceback" not in captured.err
+
 
 class TestScoreCmd:
     def test_gap_pair(self, capsys):
@@ -265,6 +296,37 @@ class TestScoreCmd:
         assert out[0] == "gap: 5.0000%"
         assert out[1] == "reference-solver gap: 1.0000%"
         assert out[2] == "score: 20.00%"
+
+    def test_length_files_sentinel_for_zero_search_gap(self, tmp_path, capsys):
+        refs = tmp_path / "refs.csv"
+        lengths = tmp_path / "lengths.csv"
+        lkh = tmp_path / "lkh.csv"
+        refs.write_text("instance_id,length\n0,1.0\n1,2.0\n")
+        lengths.write_text("instance_id,length\n0,1.0\n1,2.0\n")
+        lkh.write_text("instance_id,length\n0,1.01\n1,2.02\n")
+        assert main(["score", "--refs", str(refs), "--lengths", str(lengths),
+                     "--lkh-refs", str(lkh)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out == ["gap: 0.0000%", "reference-solver gap: 1.0000%", "score: ≥100%"]
+
+    def test_agrees_with_bench_aggregate(self, tmp_path, capsys):
+        # (length, optimum, reference-solver length) per instance
+        table = {"0": (1.03, 1.0, 1.01), "1": (2.2, 2.0, 2.04), "2": (0.95, 0.9, 0.91)}
+        files = []
+        for col, name in enumerate(("lengths", "refs", "lkh")):
+            files.append(tmp_path / f"{name}.csv")
+            write_ref_lengths(files[-1], {i: row[col] for i, row in table.items()})
+        assert main(["score", "--lengths", str(files[0]), "--refs", str(files[1]),
+                     "--lkh-refs", str(files[2])]) == 0
+        out = capsys.readouterr().out.splitlines()
+        records = [RunRecord(instance_id=i, method="zeros", length=row[0], elapsed=0.0, seed=0)
+                   for i, row in table.items()]
+        report = aggregate(records, parse_ref_lengths(files[1]), parse_ref_lengths(files[2]))
+        assert out == [
+            f"gap: {report.gap * 100:.4f}%",
+            f"reference-solver gap: {report.gap_reference * 100:.4f}%",
+            f"score: {report.score * 100:.2f}%",
+        ]
 
     def test_unmatched_ids(self, tmp_path, capsys):
         refs = tmp_path / "refs.csv"

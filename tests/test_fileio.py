@@ -198,7 +198,7 @@ class TestRenderReport:
         lines = text.splitlines()
         assert lines[0] == "| metric | value |"
         assert any("| gap | 5.0000% |" == l for l in lines)
-        assert any(l.startswith("| note |") for l in lines)
+        assert "| score | 20.00% |" in lines
         assert "| instance_id | length | elapsed_seconds |" in lines
 
     def test_unknown_format(self):

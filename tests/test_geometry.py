@@ -14,7 +14,6 @@ from tsplab.geometry import (
     generate_instances,
     is_permutation,
     nearest_neighbor_tour,
-    random_tour,
     rng_for,
     tour_length,
     two_opt,
@@ -163,30 +162,6 @@ class TestTourLength:
             tour_length(inst, Tour(np.array([0, 1, 2])))
 
 
-class TestRandomTour:
-    def test_n2_always_permutation(self):
-        rng = rng_for(0, 0, "t")
-        for _ in range(10):
-            assert sorted(random_tour(2, rng).order.tolist()) == [0, 1]
-
-    def test_deterministic_for_equal_state(self):
-        a = random_tour(5, rng_for(3, 1, "t")).order
-        b = random_tour(5, rng_for(3, 1, "t")).order
-        assert np.array_equal(a, b)
-
-    def test_uniform_over_permutations(self):
-        # n=4: each of the 24 orders should appear with frequency 1/24 +- 0.01
-        rng = rng_for(2024, 0, "freq")
-        counts: dict[tuple, int] = {}
-        draws = 10000
-        for _ in range(draws):
-            key = tuple(random_tour(4, rng).order.tolist())
-            counts[key] = counts.get(key, 0) + 1
-        assert len(counts) == 24
-        for c in counts.values():
-            assert abs(c / draws - 1.0 / 24.0) < 0.01
-
-
 class TestNearestNeighbor:
     def test_square_hand_trace(self):
         tour = nearest_neighbor_tour(_inst(SQUARE), start=0)
@@ -225,14 +200,14 @@ class TestTwoOpt:
 
     def test_fixpoint(self):
         inst = generate_instances(15, 1, seed=5)[0]
-        first = two_opt(inst, random_tour(15, rng_for(5, 0, "t")))
+        first = two_opt(inst, Tour(rng_for(5, 0, "t").permutation(15)))
         second = two_opt(inst, first)
         assert np.array_equal(first.order, second.order)
 
     def test_never_worse(self):
         for seed in range(100):
             inst = generate_instances(8, 1, seed=seed)[0]
-            tour = random_tour(8, rng_for(seed, 0, "2opt"))
+            tour = Tour(rng_for(seed, 0, "2opt").permutation(8))
             before = tour_length(inst, tour)
             after = two_opt(inst, tour)
             assert is_permutation(after.order, 8)
@@ -242,7 +217,7 @@ class TestTwoOpt:
         # no single segment reversal may improve the result
         for seed in range(10):
             inst = generate_instances(7, 1, seed=seed)[0]
-            order = two_opt(inst, random_tour(7, rng_for(seed, 1, "2opt"))).order
+            order = two_opt(inst, Tour(rng_for(seed, 1, "2opt").permutation(7))).order
             base = tour_length(inst, Tour(order))
             for i in range(7):
                 for j in range(i + 2, 7):
@@ -284,7 +259,8 @@ class TestBruteForce:
             n = 5 + seed % 4
             inst = generate_instances(n, 1, seed=seed)[0]
             _, opt = brute_force_optimal(inst)
-            assert opt <= tour_length(inst, two_opt(inst, random_tour(n, rng_for(seed, 2, "t")))) + 1e-9
+            start = Tour(rng_for(seed, 2, "t").permutation(n))
+            assert opt <= tour_length(inst, two_opt(inst, start)) + 1e-9
             assert opt <= tour_length(inst, nearest_neighbor_tour(inst, start=0)) + 1e-9
 
     def test_size_guard(self):

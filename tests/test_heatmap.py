@@ -8,7 +8,6 @@ from tsplab.heatmap import (
     DegenerateTemperatureError,
     candidate_sets,
     softdist,
-    symmetrize,
     validate_heatmap,
     zeros_heatmap,
 )
@@ -167,26 +166,6 @@ class TestCandidateSets:
     def test_rejects_bad_k(self):
         with pytest.raises(ValueError):
             candidate_sets(zeros_heatmap(4), 0)
-
-
-class TestSymmetrize:
-    def test_fixpoint_on_symmetric(self):
-        h = zeros_heatmap(4)
-        assert np.array_equal(symmetrize(h), h)
-
-    def test_averages_pairs(self):
-        h = np.zeros((3, 3))
-        h[0, 1], h[1, 0] = 0.2, 0.4
-        s = symmetrize(h)
-        assert abs(s[0, 1] - 0.3) < 1e-15
-        assert abs(s[1, 0] - 0.3) < 1e-15
-
-    def test_output_symmetric(self):
-        rng = np.random.default_rng(3)
-        h = rng.random((8, 8))
-        np.fill_diagonal(h, 0.0)
-        s = symmetrize(h)
-        assert np.array_equal(s, s.T)
 
 
 class TestValidateHeatmap:
