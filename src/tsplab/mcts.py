@@ -81,9 +81,11 @@ class MctsParams:
         if not (0.0 <= self.alpha < math.inf and 0.0 <= self.beta < math.inf):
             raise ValueError("alpha and beta must be finite and nonnegative")
         optional = (self.stagnation_limit, self.max_actions)
-        counts = (self.k, self.max_depth) + tuple(c for c in optional if c is not None)
+        counts = (self.seed, self.k, self.max_depth) + tuple(c for c in optional if c is not None)
         if not all(isinstance(c, Integral) for c in counts):
-            raise ValueError("k, max_depth, stagnation_limit and max_actions must be integers")
+            raise ValueError(
+                "seed, k, max_depth, stagnation_limit and max_actions must be integers"
+            )
         if self.k < 1:
             raise ValueError("k must be at least 1")
         if self.max_depth < 2:
@@ -220,9 +222,15 @@ def init_state(
     heatmap: np.ndarray,
     params: MctsParams,
     rng: np.random.Generator | None = None,
+    *,
+    deadline: float | None = None,
 ) -> MctsState:
     """Build a search state: ``W = 100 * heatmap``, zero ``Q``, and a
-    2-opt-polished random starting tour."""
+    2-opt-polished random starting tour.
+
+    ``deadline`` (a ``time.perf_counter()`` value) stops the 2-opt early,
+    leaving the starting tour only partly polished.
+    """
     h = validate_heatmap(heatmap, instance.n)
     if np.any(h.sum(axis=1) <= 0.0):
         raise ValueError(
@@ -232,7 +240,9 @@ def init_state(
     if rng is None:
         rng = rng_for(params.seed, 0, "mcts")
     d = distance_matrix(instance)
-    order = _two_opt_order(d, rng.permutation(instance.n))
+    # built before the 2-opt so that the deadline also covers it
+    candidates = candidate_sets(h, params.k)
+    order = _two_opt_order(d, rng.permutation(instance.n), deadline=deadline)
     length = cycle_length(d, order)
     return MctsState(
         instance=instance,
@@ -244,7 +254,7 @@ def init_state(
         current_length=length,
         best=order.copy(),
         best_length=length,
-        candidates=candidate_sets(h, params.k),
+        candidates=candidates,
         params=params,
     )
 
@@ -522,15 +532,17 @@ def mcts_solve(
     """Anytime search: sample, accept improvements, restart on stagnation.
 
     Runs until the wall-clock budget (or ``params.max_actions``) is
-    exhausted and returns the best tour seen.  With ``checkpoints`` given,
-    the result carries a ``(time, best_length)`` trace with one entry per
-    checkpoint; the series is non-increasing and ends at the returned best
-    length.
+    exhausted and returns the best tour seen.  The budget also bounds the
+    initial and restart 2-opt, which stop with a partly polished tour when
+    it runs out.  With ``checkpoints`` given, the result carries a
+    ``(time, best_length)`` trace with one entry per checkpoint; the series
+    is non-increasing and ends at the returned best length.
     """
     cps = _validated_checkpoints(checkpoints, params.time_budget)
     t0 = time.perf_counter()
+    deadline = t0 + params.time_budget
     rng = rng_for(params.seed, 0, "mcts")
-    state = init_state(instance, heatmap, params, rng=rng)
+    state = init_state(instance, heatmap, params, rng=rng, deadline=deadline)
     stagnation = (
         params.stagnation_limit if params.stagnation_limit is not None else 100 * state.n
     )
@@ -568,7 +580,7 @@ def mcts_solve(
         else:
             fails += 1
             if fails >= stagnation:
-                order = _two_opt_order(state.d, _construct_order(state, rng))
+                order = _two_opt_order(state.d, _construct_order(state, rng), deadline=deadline)
                 state._set_current(order, cycle_length(state.d, order))
                 restarts += 1
                 fails = 0

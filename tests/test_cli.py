@@ -264,6 +264,18 @@ class TestBenchCmd:
         assert "error:" in captured.err
         assert "Traceback" not in captured.err
 
+    def test_non_integer_seed_means_runtime_error(self, tmp_path, capsys):
+        src, refs, spec = self._setup(tmp_path)
+        spec.write_text(json.dumps(
+            {"method": "zeros", "params": {"time_budget": 10.0, "seed": 2.5, "max_actions": 60}}
+        ))
+        capsys.readouterr()
+        assert main(["bench", "--in", str(src), "--spec", str(spec),
+                     "--refs", str(refs)]) == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert "Traceback" not in captured.err
+
 
 class TestScoreCmd:
     def test_gap_pair(self, capsys):

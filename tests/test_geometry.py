@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -9,7 +10,10 @@ from tsplab.geometry import (
     Tour,
     TspInstance,
     UnsupportedSizeError,
+    _IMPROVE_EPS,
+    _two_opt_order,
     brute_force_optimal,
+    cycle_length,
     distance_matrix,
     generate_instances,
     is_permutation,
@@ -18,6 +22,8 @@ from tsplab.geometry import (
     tour_length,
     two_opt,
 )
+from tsplab.heatmap import softdist
+from tsplab.mcts import MctsParams, _construct_order, init_state
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -226,6 +232,71 @@ class TestTwoOpt:
                     cand = order.copy()
                     cand[i + 1 : j + 1] = cand[i + 1 : j + 1][::-1]
                     assert tour_length(inst, Tour(cand)) >= base - 1e-9
+
+
+def _reference_two_opt_order(d: np.ndarray, order: np.ndarray) -> np.ndarray:
+    # the dense scan _two_opt_order replaced, kept as the exactness oracle:
+    # all n x n pair deltas are recomputed after every move
+    order = np.array(order, dtype=np.int64, copy=True)
+    n = order.shape[0]
+    if n < 4:
+        return order
+    ii, jj = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+    valid = jj >= ii + 2
+    valid[0, n - 1] = False
+    while True:
+        r = d[np.ix_(order, order)]
+        edge = r[np.arange(n), (np.arange(n) + 1) % n]
+        rk = np.roll(np.roll(r, -1, axis=0), -1, axis=1)
+        delta = r + rk - edge[:, None] - edge[None, :]
+        hits = (delta < -_IMPROVE_EPS) & valid
+        if not hits.any():
+            return order
+        i, j = divmod(int(np.argmax(hits)), n)
+        order[i + 1 : j + 1] = order[i + 1 : j + 1][::-1]
+
+
+class TestTwoOptExactness:
+    @pytest.mark.parametrize("n", [4, 5, 6, 7, 12, 50, 100, 200])
+    def test_random_starts_match_dense_scan(self, n):
+        for seed in range(12 if n <= 12 else 3):
+            d = distance_matrix(generate_instances(n, 1, seed=seed)[0])
+            start = rng_for(seed, n, "exact").permutation(n)
+            assert np.array_equal(_two_opt_order(d, start), _reference_two_opt_order(d, start))
+
+    def test_restart_starts_match_dense_scan(self):
+        for n in (30, 120):
+            inst = generate_instances(n, 1, seed=n)[0]
+            state = init_state(inst, softdist(inst, 0.05), MctsParams(time_budget=1.0, seed=n))
+            rng = rng_for(n, 0, "restart")
+            for _ in range(4):
+                start = _construct_order(state, rng)
+                got = _two_opt_order(state.d, start)
+                assert np.array_equal(got, _reference_two_opt_order(state.d, start))
+
+    @pytest.mark.parametrize("n", [4, 5, 8, 13])
+    def test_first_hit_in_the_wrap_around_column(self, n):
+        # convex polygon visited in order but with its last two vertices
+        # swapped: the only improving pair is (n-3, n-1), whose second edge
+        # is the wrap-around edge back to position 0
+        angle = 2.0 * np.pi * np.arange(n) / n
+        d = distance_matrix(_inst(0.5 + 0.4 * np.c_[np.cos(angle), np.sin(angle)]))
+        start = np.r_[np.arange(n - 2), n - 1, n - 2]
+        got = _two_opt_order(d, start)
+        assert np.array_equal(got, _reference_two_opt_order(d, start))
+        assert np.array_equal(got, np.arange(n))
+
+    def test_passed_deadline_stops_after_one_move(self):
+        d = distance_matrix(generate_instances(60, 1, seed=3)[0])
+        start = rng_for(3, 0, "deadline").permutation(60)
+        got = _two_opt_order(d, start, deadline=time.perf_counter())
+        assert is_permutation(got, 60)
+        assert cycle_length(d, got) < cycle_length(d, start)
+        # exactly one reversal away from the start
+        changed = np.flatnonzero(got != start)
+        i, j = changed[0] - 1, changed[-1]
+        assert np.array_equal(got[i + 1 : j + 1], start[i + 1 : j + 1][::-1])
+        assert cycle_length(d, got) > cycle_length(d, _two_opt_order(d, start))
 
 
 class TestBruteForce:

@@ -78,6 +78,7 @@ class TestParams:
             dict(max_depth=3.5),
             dict(stagnation_limit=10.5),
             dict(max_actions=100.0),
+            dict(seed=2.5),
         ):
             with pytest.raises(ValueError):
                 MctsParams(time_budget=1.0, **bad)
@@ -505,6 +506,16 @@ class TestMctsSolve:
         assert is_permutation(result.best.order, n)
         assert abs(result.best_length - tour_length(inst, result.best)) < 1e-12
         assert result.trace == [(1.0, result.best_length), (5.0, result.best_length)]
+
+    @pytest.mark.parametrize("n, budget", [(500, 2.0), (1000, 1.0)])
+    def test_budget_covers_initialization(self, n, budget):
+        inst = generate_instances(n, 1, seed=14)[0]
+        h = softdist(inst, default_tau(n))
+        result = mcts_solve(inst, h, MctsParams(time_budget=budget, seed=14))
+        assert result.elapsed <= 1.05 * budget
+        assert abs(result.best_length - tour_length(inst, result.best)) < 1e-9
+        if n == 500:
+            assert result.actions_sampled > 0
 
     def test_restarts_on_stagnation(self):
         inst = generate_instances(20, 1, seed=12)[0]
