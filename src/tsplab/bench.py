@@ -12,16 +12,16 @@ from __future__ import annotations
 import struct
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from hashlib import blake2b
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .fileio import parse_heatmap
+from .fileio import heatmap_file, parse_heatmap
 from .geometry import TspInstance
-from .heatmap import softdist, validate_heatmap, zeros_heatmap
+from .heatmap import softdist, zeros_heatmap
 from .mcts import MctsParams, mcts_solve
 
 _MASK64 = (1 << 64) - 1
@@ -53,8 +53,9 @@ class MctsRunSpec:
         if self.method not in _METHODS:
             raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
         if self.method == "softdist":
-            if self.tau is None or self.tau <= 0.0:
-                raise ValueError("softdist runs need a positive tau")
+            # a bool is not a temperature; written so that NaN fails too
+            if self.tau is None or isinstance(self.tau, bool) or not 0.0 < self.tau < np.inf:
+                raise ValueError("softdist runs need a positive finite tau")
         elif self.tau is not None:
             raise ValueError(f"tau is only meaningful for softdist, not {self.method!r}")
         if self.method == "external" and not self.heatmap_path:
@@ -65,9 +66,10 @@ class MctsRunSpec:
     def check_batch(self, count: int) -> None:
         """Refuse a single external heatmap file for a batch of ``count`` > 1
         instances, which would solve every instance with the same map."""
-        if count > 1 and self.method == "external" and not Path(self.heatmap_path).is_dir():
+        path = self.heatmap_path
+        if count > 1 and self.method == "external" and heatmap_file(path, "0") == Path(path):
             raise ValueError(
-                f"heatmap path {self.heatmap_path} is not a directory; a batch of {count} "
+                f"heatmap path {path} is not a directory; a batch of {count} "
                 "instances needs a directory of <instance_id>.hmap files"
             )
 
@@ -97,6 +99,19 @@ class RunRecord:
         if self.elapsed < 0.0:
             raise ValueError("record elapsed time must be nonnegative")
 
+    def to_dict(self) -> dict:
+        out = {
+            "instance_id": self.instance_id,
+            "method": self.method,
+            "length": self.length,
+            "elapsed_seconds": self.elapsed,
+            "heatmap_seconds": self.heatmap_seconds,
+            "seed": self.seed,
+        }
+        if self.trace is not None:
+            out["trace"] = [[t, v] for t, v in self.trace]
+        return out
+
 
 @dataclass
 class BenchReport:
@@ -113,32 +128,8 @@ class BenchReport:
     records: list[RunRecord]
 
     def to_dict(self) -> dict:
-        recs = []
-        for r in self.records:
-            rec = {
-                "instance_id": r.instance_id,
-                "method": r.method,
-                "length": r.length,
-                "elapsed_seconds": r.elapsed,
-                "heatmap_seconds": r.heatmap_seconds,
-                "seed": r.seed,
-            }
-            if r.trace is not None:
-                rec["trace"] = [[t, v] for t, v in r.trace]
-            recs.append(rec)
-        return {
-            "method": self.method,
-            "count": self.count,
-            "length_mean": self.length_mean,
-            "gap": self.gap,
-            "gap_ratio_of_means": self.gap_ratio_of_means,
-            "gap_reference": self.gap_reference,
-            "score": self.score,
-            "score_display": self.score_display,
-            "solve_seconds": self.solve_seconds,
-            "heatmap_seconds": self.heatmap_seconds,
-            "records": recs,
-        }
+        out = {f.name: getattr(self, f.name) for f in fields(self)}
+        return out | {"records": [r.to_dict() for r in self.records]}
 
 
 def compute_gap(lengths, refs) -> float:
@@ -227,19 +218,27 @@ def instance_seed(base_seed: int, instance: TspInstance) -> int:
     return int.from_bytes(digest, "big") & ((1 << 63) - 1)
 
 
-def _heatmap_for(instance: TspInstance, spec: MctsRunSpec, instance_id: str):
-    t0 = time.perf_counter()
-    if spec.method == "softdist":
-        h = softdist(instance, spec.tau)
-    elif spec.method == "zeros":
-        h = zeros_heatmap(instance.n)
-    else:
-        path = Path(spec.heatmap_path)
-        if path.is_dir():
-            path = path / f"{instance_id}.hmap"
-        h = parse_heatmap(path)
-        validate_heatmap(h, instance.n)
-    return h, time.perf_counter() - t0
+def make_heatmap(
+    instance: TspInstance,
+    method: str,
+    tau: float | None = None,
+    heatmap_path: str | None = None,
+    instance_id: str = "0",
+) -> np.ndarray:
+    """The heatmap ``method`` gives ``instance``: softdist at ``tau``, the
+    zeros baseline, or the external file of ``instance_id`` under
+    ``heatmap_path``."""
+    if method == "softdist":
+        return softdist(instance, tau)
+    if method == "zeros":
+        return zeros_heatmap(instance.n)
+    path = heatmap_file(heatmap_path, instance_id)
+    h = parse_heatmap(path)
+    if h.shape[0] != instance.n:
+        raise ValueError(
+            f"{path}: heatmap size {h.shape[0]} does not match instance size {instance.n}"
+        )
+    return h
 
 
 def run_single(
@@ -249,7 +248,9 @@ def run_single(
     checkpoints: list[float] | None = None,
 ) -> RunRecord:
     """Solve one instance under a run spec; run_bench solves each instance here."""
-    h, h_seconds = _heatmap_for(instance, spec, instance_id)
+    t0 = time.perf_counter()
+    h = make_heatmap(instance, spec.method, spec.tau, spec.heatmap_path, instance_id)
+    h_seconds = time.perf_counter() - t0
     seed = instance_seed(spec.params.seed, instance)
     result = mcts_solve(instance, h, replace(spec.params, seed=seed), checkpoints=checkpoints)
     return RunRecord(

@@ -8,12 +8,15 @@ it, recording the tool version and the full parameter set that produced it.
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
 from . import __version__
-from .bench import MctsRunSpec, aggregate, gap_rows, run_bench, run_single, score_display
+from .bench import MctsRunSpec, aggregate, gap_rows, make_heatmap, run_bench, run_single
+from .bench import score_display
 from .fileio import (
+    heatmap_file,
     parse_instances,
     parse_ref_lengths,
     render_report,
@@ -22,9 +25,9 @@ from .fileio import (
     write_instances,
     write_manifest,
     write_ref_lengths,
+    write_traces,
 )
 from .geometry import brute_force_optimal, generate_instances
-from .heatmap import softdist, zeros_heatmap
 from .mcts import MctsParams, default_time_budget
 from .tuner import GridSpec, default_tau, grid_search_tau
 
@@ -34,14 +37,25 @@ def _usage(msg: str) -> int:
     return 2
 
 
-def _manifest_params(args: argparse.Namespace, **extra) -> dict:
+def _wrote(args: argparse.Namespace, command: str, what: str, **extra) -> None:
+    """Drop the manifest of ``--out`` (every scalar argument plus ``extra``)
+    beside it and print ``wrote <what>``."""
     params = {
-        k: (str(v) if isinstance(v, Path) else v)
+        k: v
         for k, v in vars(args).items()
         if k not in ("func", "command") and (v is None or isinstance(v, (str, int, float, bool)))
     }
-    params.update(extra)
-    return params
+    write_manifest(args.out, command, params | extra, __version__)
+    print(f"wrote {what}")
+
+
+def _write_out(args: argparse.Namespace, command: str, text: str, what: str, **extra) -> None:
+    """Write ``text`` to ``--out`` with its manifest, or else to stdout."""
+    if args.out:
+        Path(args.out).write_text(text)
+        _wrote(args, command, f"{what} to {args.out}", **extra)
+    else:
+        sys.stdout.write(text)
 
 
 def _parse_floats(text: str, what: str) -> list[float]:
@@ -54,8 +68,7 @@ def _parse_floats(text: str, what: str) -> list[float]:
 def cmd_gen(args: argparse.Namespace) -> int:
     instances = generate_instances(args.n, args.count, args.seed)
     write_instances(args.out, instances)
-    write_manifest(args.out, "gen", _manifest_params(args), __version__)
-    print(f"wrote {args.count} instances of size {args.n} to {args.out}")
+    _wrote(args, "gen", f"{args.count} instances of size {args.n} to {args.out}")
     return 0
 
 
@@ -63,24 +76,15 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
     if args.method == "softdist" and args.tau is None:
         return _usage("--tau is required with --method softdist")
     pairs = parse_instances(args.infile)
-    if not pairs:
-        raise ValueError(f"{args.infile}: no instances")
-    binary = args.format == "binary"
-    out = Path(args.out)
-    make = (
-        (lambda inst: softdist(inst, args.tau))
-        if args.method == "softdist"
-        else (lambda inst: zeros_heatmap(inst.n))
-    )
-    if len(pairs) == 1 and not out.is_dir():
-        write_heatmap(out, make(pairs[0][0]), binary=binary)
-        print(f"wrote heatmap to {out}")
-    else:
-        out.mkdir(parents=True, exist_ok=True)
-        for i, (inst, _) in enumerate(pairs):
-            write_heatmap(out / f"{i}.hmap", make(inst), binary=binary)
-        print(f"wrote {len(pairs)} heatmaps to {out}/")
-    write_manifest(args.out, "heatmap", _manifest_params(args), __version__)
+    out = args.out if len(pairs) == 1 else f"{Path(args.out)}/"  # a batch goes to a directory
+    files = [heatmap_file(out, str(i)) for i in range(len(pairs))]
+    to_dir = files[0] != Path(out)
+    if to_dir:
+        Path(out).mkdir(parents=True, exist_ok=True)
+    for (inst, _), path in zip(pairs, files):
+        write_heatmap(path, make_heatmap(inst, args.method, args.tau), args.format == "binary")
+    what = f"{len(files)} heatmaps to {Path(out)}/" if to_dir else f"heatmap to {files[0]}"
+    _wrote(args, "heatmap", what)
     return 0
 
 
@@ -95,12 +99,11 @@ def _solve_spec(args: argparse.Namespace, inst) -> MctsRunSpec:
         max_depth=args.depth,
         max_actions=args.max_actions,
     )
+    tau = None
     if args.method == "softdist":
         tau = args.tau if args.tau is not None else default_tau(inst.n)
-        return MctsRunSpec(method="softdist", params=params, tau=tau)
-    if args.method == "zeros":
-        return MctsRunSpec(method="zeros", params=params)
-    return MctsRunSpec(method="external", params=params, heatmap_path=args.heatmap)
+    # cmd_solve has refused --heatmap with any method but external
+    return MctsRunSpec(method=args.method, params=params, tau=tau, heatmap_path=args.heatmap)
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
@@ -114,8 +117,6 @@ def cmd_solve(args: argparse.Namespace) -> int:
     checkpoints = _parse_floats(args.checkpoints, "--checkpoints") if args.checkpoints else None
 
     pairs = parse_instances(args.infile)
-    if not pairs:
-        raise ValueError(f"{args.infile}: no instances")
     specs = [_solve_spec(args, inst) for inst, _ in pairs]
     specs[0].check_batch(len(specs))
     records = []
@@ -125,23 +126,15 @@ def cmd_solve(args: argparse.Namespace) -> int:
         print(f"instance {rec.instance_id}: length {rec.length:.6f} in {rec.elapsed:.2f}s")
     if args.out:
         write_ref_lengths(args.out, {r.instance_id: r.length for r in records})
-        write_manifest(args.out, "solve", _manifest_params(args), __version__)
-        print(f"wrote lengths to {args.out}")
+        _wrote(args, "solve", f"lengths to {args.out}")
     if args.trace:
-        with open(args.trace, "w") as fh:
-            fh.write("instance_id,time_seconds,best_length\n")
-            for r in records:
-                for t, v in r.trace or []:
-                    fh.write(f"{r.instance_id},{t!r},{v!r}\n")
+        write_traces(args.trace, {r.instance_id: r.trace for r in records})
         print(f"wrote traces to {args.trace}")
     return 0
 
 
 def cmd_tune(args: argparse.Namespace) -> int:
-    pairs = parse_instances(args.infile)
-    if not pairs:
-        raise ValueError(f"{args.infile}: no instances")
-    instances = [inst for inst, _ in pairs]
+    instances = [inst for inst, _ in parse_instances(args.infile)]
     params = MctsParams(time_budget=args.budget, seed=args.seed, max_actions=args.max_actions)
     grid = None
     if args.coarse or args.refine_step or args.refine_radius:
@@ -153,24 +146,13 @@ def cmd_tune(args: argparse.Namespace) -> int:
             refine_step=args.refine_step,
         )
     result = grid_search_tau(instances, params, grid, workers=args.workers)
-    text = render_tune_table(result, args.report)
-    if args.out:
-        Path(args.out).write_text(text)
-        write_manifest(args.out, "tune", _manifest_params(args), __version__)
-        print(f"wrote tuning table to {args.out}")
-    else:
-        sys.stdout.write(text)
+    _write_out(args, "tune", render_tune_table(result, args.report), "tuning table")
     print(f"best tau: {result.best_tau:g}")
     return 0
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    import json
-
-    pairs = parse_instances(args.infile)
-    if not pairs:
-        raise ValueError(f"{args.infile}: no instances")
-    instances = [inst for inst, _ in pairs]
+    instances = [inst for inst, _ in parse_instances(args.infile)]
     spec_data = json.loads(Path(args.spec).read_text())
     try:
         params = MctsParams(**spec_data["params"])
@@ -186,13 +168,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
     refs = parse_ref_lengths(args.refs)
     reference = parse_ref_lengths(args.reference_lengths) if args.reference_lengths else None
     report = aggregate(records, refs, reference)
-    text = render_report(report, args.report)
-    if args.out:
-        Path(args.out).write_text(text)
-        write_manifest(args.out, "bench", _manifest_params(args, spec=spec_data), __version__)
-        print(f"wrote report to {args.out}")
-    else:
-        sys.stdout.write(text)
+    _write_out(args, "bench", render_report(report, args.report), "report", spec=spec_data)
     gap = f"{report.gap * 100:.4f}%"
     score = f", score {report.score_display}" if report.score_display else ""
     print(f"{spec.label()}: mean length {report.length_mean:.5f}, gap {gap}{score}")
@@ -220,18 +196,14 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    pairs = parse_instances(args.infile)
-    if not pairs:
-        raise ValueError(f"{args.infile}: no instances")
     refs = {}
-    for i, (inst, _) in enumerate(pairs):
+    for i, (inst, _) in enumerate(parse_instances(args.infile)):
         _tour, length = brute_force_optimal(inst)
         refs[str(i)] = length
         print(f"instance {i}: optimal length {length:.6f}")
     if args.out:
         write_ref_lengths(args.out, refs)
-        write_manifest(args.out, "oracle", _manifest_params(args), __version__)
-        print(f"wrote optimal lengths to {args.out}")
+        _wrote(args, "oracle", f"optimal lengths to {args.out}")
     return 0
 
 

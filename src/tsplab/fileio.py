@@ -11,7 +11,8 @@ or binary (magic ``HMAP1``, little-endian uint64 ``n``, then ``n*n``
 float64 row-major).  Floats are written as shortest round-tripping decimals,
 so parse(write(x)) recovers x exactly in both formats.
 
-Reference-length files are CSV with header ``instance_id,length``.
+Reference-length files are CSV with header ``instance_id,length``; trace
+files add one row per checkpoint under ``instance_id,time_seconds,best_length``.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -80,12 +82,13 @@ def parse_instances(path) -> list[tuple[TspInstance, Tour | None]]:
                     raise ParseError(f"{path}:{lineno}: tour is not a permutation of 1..n")
                 tour = Tour(body)
             out.append((inst, tour))
+    if not out:
+        raise ParseError(f"{path}: no instances")
     return out
 
 
 def write_instances(path, items) -> None:
     """``items``: TspInstance values or (TspInstance, Tour-or-None) pairs."""
-    path = Path(path)
     with open(path, "w") as fh:
         for item in items:
             inst, tour = item if isinstance(item, tuple) else (item, None)
@@ -98,6 +101,15 @@ def write_instances(path, items) -> None:
 
 
 # -- heatmaps ----------------------------------------------------------------
+
+
+def heatmap_file(path, instance_id: str) -> Path:
+    """The heatmap of ``instance_id`` under ``path``: ``<path>/<instance_id>.hmap``
+    when ``path`` is a directory or ends in a separator, else ``path`` itself."""
+    p = Path(path)
+    if p.is_dir() or str(path).endswith((os.sep, "/")):
+        return p / f"{instance_id}.hmap"
+    return p
 
 
 def parse_heatmap(path) -> np.ndarray:
@@ -163,7 +175,6 @@ def _parse_heatmap_text(fh, path: Path) -> np.ndarray:
 
 
 def write_heatmap(path, h: np.ndarray, binary: bool = True) -> None:
-    path = Path(path)
     h = np.ascontiguousarray(np.asarray(h, dtype=np.float64))
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("heatmap must be square")
@@ -180,7 +191,7 @@ def write_heatmap(path, h: np.ndarray, binary: bool = True) -> None:
                 fh.write(" ".join(_fmt(v) for v in row) + "\n")
 
 
-# -- reference lengths -------------------------------------------------------
+# -- reference lengths and traces --------------------------------------------
 
 
 def parse_ref_lengths(path) -> dict[str, float]:
@@ -210,12 +221,20 @@ def parse_ref_lengths(path) -> dict[str, float]:
 
 
 def write_ref_lengths(path, refs) -> None:
-    path = Path(path)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["instance_id", "length"])
         for key, val in refs.items():
             writer.writerow([key, _fmt(val)])
+
+
+def write_traces(path, traces) -> None:
+    """``traces``: instance id -> ``(time_seconds, best_length)`` pairs."""
+    with open(path, "w") as fh:
+        fh.write("instance_id,time_seconds,best_length\n")
+        for key, trace in traces.items():
+            for t, v in trace:
+                fh.write(f"{key},{_fmt(t)},{_fmt(v)}\n")
 
 
 # -- reports -----------------------------------------------------------------
@@ -286,13 +305,13 @@ def render_tune_table(result, fmt: str) -> str:
 
 
 def write_manifest(out_path, command: str, parameters: dict, version: str) -> Path:
-    """Drop ``<out>.manifest.json`` recording how an artifact was produced."""
+    """Drop ``<out>.manifest.json`` beside the file or directory ``out``."""
     manifest = {
         "tool": "tsplab",
         "version": version,
         "command": command,
         "parameters": parameters,
     }
-    mpath = Path(str(out_path) + ".manifest.json")
+    mpath = Path(f"{Path(out_path)}.manifest.json")
     mpath.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return mpath

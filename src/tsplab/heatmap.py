@@ -78,9 +78,10 @@ def candidate_sets(heatmap: np.ndarray, k: int) -> np.ndarray:
     if k < 1:
         raise ValueError("k must be at least 1")
     n = h.shape[0]
-    scored = h.copy()
-    np.fill_diagonal(scored, -np.inf)
-    ties = np.broadcast_to(np.arange(n), (n, n))
-    ranked = np.lexsort((ties, -scored), axis=-1)
-    return np.ascontiguousarray(ranked[:, : min(k, n - 1)].astype(np.int64))
+    cost = -h
+    np.fill_diagonal(cost, np.inf)
+    # a stable sort keeps equal scores in index order: ties go to the lower index
+    ranked = np.argsort(cost, axis=1, kind="stable")
+    # copy the slice so the full n x n ranking is not kept alive
+    return np.ascontiguousarray(ranked[:, : min(k, n - 1)], dtype=np.int64)
 

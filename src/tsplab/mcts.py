@@ -75,6 +75,9 @@ class MctsParams:
     max_actions: int | None = None
 
     def __post_init__(self) -> None:
+        # every field is numeric; a JSON true/false would pass as 1/0
+        if any(isinstance(v, bool) for v in vars(self).values()):
+            raise ValueError("search parameters must be numbers, not booleans")
         if not np.isfinite(self.time_budget) or self.time_budget <= 0.0:
             raise ValueError("time_budget must be positive")
         # written so that NaN fails too

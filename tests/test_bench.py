@@ -111,6 +111,12 @@ class TestMctsRunSpec:
         spec = MctsRunSpec(method="softdist", params=params, tau=0.01)
         assert spec.label() == "softdist(tau=0.01)"
 
+    def test_softdist_tau_is_a_finite_number(self):
+        params = MctsParams(time_budget=1.0)
+        for bad in (True, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                MctsRunSpec(method="softdist", params=params, tau=bad)
+
     def test_zeros_refuses_tau_and_path(self):
         params = MctsParams(time_budget=1.0)
         with pytest.raises(ValueError):
@@ -204,6 +210,17 @@ class TestRunBench:
         monkeypatch.setattr(bench, "mcts_solve", _no_solve)
         with pytest.raises(ValueError, match="not a directory"):
             run_bench(instances, spec)
+
+    def test_external_size_mismatch_names_the_file(self, tmp_path):
+        inst = generate_instances(6, 1, seed=36)[0]
+        path = tmp_path / "seven.hmap"
+        write_heatmap(path, softdist(generate_instances(7, 1, seed=36)[0], 0.05))
+        spec = MctsRunSpec(
+            method="external", params=MctsParams(time_budget=10.0, max_actions=40),
+            heatmap_path=str(path),
+        )
+        with pytest.raises(ValueError, match=f"^{path}: heatmap size 7 does not match"):
+            run_single(inst, spec)
 
     def test_checkpoints_flow_into_records(self):
         instances = generate_instances(6, 2, seed=37)

@@ -1,8 +1,11 @@
+import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
 
+from tsplab import cli
 from tsplab.cli import main
 from tsplab.bench import RunRecord, aggregate
 from tsplab.fileio import (
@@ -15,6 +18,10 @@ from tsplab.fileio import (
 )
 from tsplab.geometry import brute_force_optimal, generate_instances
 from tsplab.heatmap import softdist
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("no solve may start")
 
 
 def _gen(tmp_path, n=6, count=2, seed=0, name="instances.txt"):
@@ -76,6 +83,22 @@ class TestHeatmapCmd:
         out = tmp_path / "maps"
         assert main(["heatmap", "--in", str(src), "--tau", "0.02", "--out", str(out)]) == 0
         assert sorted(p.name for p in out.iterdir()) == ["0.hmap", "1.hmap", "2.hmap"]
+
+    def test_trailing_separator_means_directory(self, tmp_path, capsys):
+        src = _gen(tmp_path, count=1)
+        out = tmp_path / "maps"
+        assert main(["heatmap", "--in", str(src), "--tau", "0.05", "--out", f"{out}/"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["0.hmap"]
+        [(inst, _)] = parse_instances(src)
+        assert np.array_equal(parse_heatmap(out / "0.hmap"), softdist(inst, 0.05))
+        assert (tmp_path / "maps.manifest.json").is_file()
+
+    def test_batch_manifest_beside_directory(self, tmp_path, capsys):
+        src = _gen(tmp_path, count=2)
+        out = tmp_path / "maps"
+        assert main(["heatmap", "--in", str(src), "--tau", "0.05", "--out", f"{out}/"]) == 0
+        assert sorted(p.name for p in out.iterdir()) == ["0.hmap", "1.hmap"]
+        assert (tmp_path / "maps.manifest.json").is_file()
 
     def test_zeros_needs_no_tau(self, tmp_path, capsys):
         src = _gen(tmp_path, count=1)
@@ -276,6 +299,23 @@ class TestBenchCmd:
         assert "error:" in captured.err
         assert "Traceback" not in captured.err
 
+    @pytest.mark.parametrize("spec_data", [
+        {"method": "softdist", "tau": True, "params": {"time_budget": 10.0}},
+        {"method": "softdist", "tau": math.nan, "params": {"time_budget": 10.0}},
+        {"method": "softdist", "tau": math.inf, "params": {"time_budget": 10.0}},
+        {"method": "zeros", "params": {"time_budget": 10.0, "max_actions": False}},
+    ])
+    def test_bad_value_fails_before_any_solve(self, tmp_path, capsys, monkeypatch, spec_data):
+        src, refs, spec = self._setup(tmp_path)
+        spec.write_text(json.dumps(spec_data))  # NaN and Infinity as Python's json writes them
+        monkeypatch.setattr(cli, "run_bench", _no_solve)
+        capsys.readouterr()
+        assert main(["bench", "--in", str(src), "--spec", str(spec),
+                     "--refs", str(refs)]) == 1
+        captured = capsys.readouterr()
+        assert "error:" in captured.err
+        assert "Traceback" not in captured.err
+
 
 class TestScoreCmd:
     def test_gap_pair(self, capsys):
@@ -374,3 +414,82 @@ class TestRuntimeErrors:
         bad = tmp_path / "bad.txt"
         bad.write_text("0.0 0.0 9.0\n")
         assert main(["solve", "--in", str(bad), "--budget", "0.05"]) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["heatmap", "--tau", "0.05", "--out", "h.hmap"],
+        ["solve", "--budget", "0.05"],
+        ["tune", "--budget", "0.05"],
+        ["oracle"],
+    ])
+    def test_empty_instance_file(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "empty.txt").write_text("")
+        assert main([argv[0], "--in", "empty.txt", *argv[1:]]) == 1
+        assert capsys.readouterr().err == "error: empty.txt: no instances\n"
+
+
+# Every deterministic artifact of one CLI session: sha256 (first 16 hex
+# digits) of each file the commands below leave behind, manifests included.
+# Paths are relative and the solves are capped before their first
+# checkpoint, so the bytes do not depend on the machine or the directory.
+GOLDEN_ARTIFACTS = {
+    "batch.txt": "2cea28e3d68178b8",
+    "batch.txt.manifest.json": "08fe9932d3e3419e",
+    "lengths.csv": "17816c7aa505dfd6",
+    "lengths.csv.manifest.json": "1aa0cdd6eda9289e",
+    "maps/0.hmap": "92b28dd9145ed6aa",
+    "maps/1.hmap": "23b2c28c208bb188",
+    "maps.manifest.json": "28bc10e81e39ec99",
+    "maps_text/0.hmap": "fd8f0ee3c6a0146d",
+    "maps_text/1.hmap": "4ef1e913243f263b",
+    "maps_text.manifest.json": "010ab7a0332569d3",
+    "one.hmap": "f33087d4450f2850",
+    "one.hmap.manifest.json": "83a00e50c9e0c197",
+    "one.txt": "3586921c9e33ad81",
+    "one.txt.manifest.json": "d7adc6c58fb8cdfb",
+    "one_lengths.csv": "32020e520e285785",
+    "one_lengths.csv.manifest.json": "443d24fd57595a67",
+    "one_zeros.txt": "8c33de0ee12add15",
+    "one_zeros.txt.manifest.json": "ea33a6b2b53085a4",
+    "refs.csv": "c4413045c011e9ac",
+    "refs.csv.manifest.json": "f609fcb42ee00ba6",
+    "small.txt": "54cbb725e581479f",
+    "small.txt.manifest.json": "31b2608432465c4f",
+    "trace.csv": "ef91136d302c4403",
+    "tune.csv": "05e2158347dc6dd0",
+    "tune.csv.manifest.json": "731d3e433131e548",
+}
+
+GOLDEN_SESSION = [
+    ["gen", "--n", "20", "--count", "2", "--seed", "3", "--out", "batch.txt"],
+    ["gen", "--n", "20", "--count", "1", "--seed", "4", "--out", "one.txt"],
+    ["gen", "--n", "7", "--count", "2", "--seed", "5", "--out", "small.txt"],
+    ["heatmap", "--in", "one.txt", "--tau", "0.05", "--out", "one.hmap"],
+    ["heatmap", "--in", "one.txt", "--method", "zeros", "--format", "text",
+     "--out", "one_zeros.txt"],
+    ["heatmap", "--in", "batch.txt", "--tau", "0.05", "--out", "maps"],
+    ["heatmap", "--in", "batch.txt", "--tau", "0.05", "--format", "text", "--out", "maps_text"],
+    ["solve", "--in", "batch.txt", "--heatmap", "maps", "--max-actions", "200",
+     "--budget", "60", "--checkpoints", "30,60", "--trace", "trace.csv", "--out", "lengths.csv"],
+    ["solve", "--in", "one.txt", "--heatmap", "one_zeros.txt", "--max-actions", "200",
+     "--budget", "60", "--out", "one_lengths.csv"],
+    ["tune", "--in", "small.txt", "--budget", "10", "--max-actions", "40", "--coarse",
+     "0.01,0.03", "--refine-step", "0.0025", "--refine-radius", "0.005", "--report", "csv",
+     "--out", "tune.csv"],
+    ["oracle", "--in", "small.txt", "--out", "refs.csv"],
+]
+
+
+def test_golden_cli_artifacts(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    for argv in GOLDEN_SESSION:
+        assert main(argv) == 0, argv
+    capsys.readouterr()
+    assert main(["score", "--gaps", "0.0005,0.01"]) == 0
+    assert capsys.readouterr().out == "5.00%\n"
+    got = {
+        p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()[:16]
+        for p in sorted(tmp_path.rglob("*"))
+        if p.is_file()
+    }
+    assert got == GOLDEN_ARTIFACTS

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import struct
 
@@ -8,6 +9,7 @@ from tsplab.bench import RunRecord, aggregate
 from tsplab.fileio import (
     HEATMAP_MAGIC,
     ParseError,
+    heatmap_file,
     parse_heatmap,
     parse_instances,
     parse_ref_lengths,
@@ -53,6 +55,12 @@ class TestInstanceFiles:
         p = tmp_path / "in.txt"
         p.write_text("\n0.0 0.0 1.0 1.0\n\n")
         assert len(parse_instances(p)) == 1
+
+    def test_no_instances(self, tmp_path):
+        p = tmp_path / "empty.txt"
+        p.write_text("\n  \n")
+        with pytest.raises(ParseError, match=f"^{p}: no instances$"):
+            parse_instances(p)
 
     @pytest.mark.parametrize(
         "line, fragment",
@@ -179,6 +187,22 @@ def _report():
     return aggregate(records, {"0": 1.0, "1": 1.0}, reference_lengths={"0": 1.01, "1": 1.01})
 
 
+class TestHeatmapFile:
+    def test_file_serves_every_id(self, tmp_path):
+        p = tmp_path / "h.hmap"
+        assert heatmap_file(p, "3") == p
+        assert heatmap_file(str(tmp_path / "missing.hmap"), "0") == tmp_path / "missing.hmap"
+
+    def test_directory_holds_one_file_per_id(self, tmp_path):
+        assert heatmap_file(tmp_path, "3") == tmp_path / "3.hmap"
+        assert heatmap_file(str(tmp_path), "0") == tmp_path / "0.hmap"
+
+    def test_trailing_separator_means_directory(self, tmp_path):
+        missing = tmp_path / "maps"
+        assert heatmap_file(f"{missing}/", "1") == missing / "1.hmap"
+        assert heatmap_file(missing, "1") == missing
+
+
 class TestRenderReport:
     def test_json_parses_and_matches(self):
         payload = json.loads(render_report(_report(), "json"))
@@ -186,6 +210,17 @@ class TestRenderReport:
         assert abs(payload["gap"] - 0.05) < 1e-12
         assert payload["score_display"] == "20.00%"
         assert [r["instance_id"] for r in payload["records"]] == ["0", "1"]
+
+    def test_json_bytes(self):
+        # pinned before RunRecord and BenchReport built their own dicts
+        records = [
+            RunRecord(instance_id="0", method="zeros", length=1.02, elapsed=0.5, seed=11,
+                      heatmap_seconds=0.25, trace=[(0.5, 1.1), (1.0, 1.02)]),
+            RunRecord(instance_id="1", method="zeros", length=1.08, elapsed=0.6, seed=12),
+        ]
+        report = aggregate(records, {"0": 1.0, "1": 1.0}, {"0": 1.01, "1": 1.01})
+        text = render_report(report, "json")
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == "7afb2f62d77d4aef"
 
     def test_csv_header_and_rows(self):
         lines = render_report(_report(), "csv").splitlines()
@@ -238,3 +273,8 @@ class TestManifest:
         assert payload["version"] == "0.1.0"
         assert payload["command"] == "bench"
         assert payload["parameters"] == {"workers": 4, "tau": 0.0066}
+
+    def test_beside_a_directory(self, tmp_path):
+        for out in (tmp_path / "maps", f"{tmp_path / 'maps'}/"):
+            mpath = write_manifest(out, "heatmap", {}, "0.1.0")
+            assert mpath == tmp_path / "maps.manifest.json"

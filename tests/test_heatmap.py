@@ -168,6 +168,36 @@ class TestCandidateSets:
             candidate_sets(zeros_heatmap(4), 0)
 
 
+def _reference_candidate_sets(heatmap: np.ndarray, k: int) -> np.ndarray:
+    """The lexsort ranking candidate_sets used before its stable argsort."""
+    h = validate_heatmap(heatmap)
+    n = h.shape[0]
+    scored = h.copy()
+    np.fill_diagonal(scored, -np.inf)
+    ties = np.broadcast_to(np.arange(n), (n, n))
+    ranked = np.lexsort((ties, -scored), axis=-1)
+    return np.ascontiguousarray(ranked[:, : min(k, n - 1)].astype(np.int64))
+
+
+class TestCandidateSetsExactness:
+    @pytest.mark.parametrize("n", [2, 3, 50, 100, 500])
+    def test_matches_lexsort_ranking(self, n):
+        inst = generate_instances(n, 1, seed=n)[0]
+        h = softdist(inst, 0.02)
+        # rounding makes most scores of a row tie
+        for heat in (h, zeros_heatmap(n), np.round(h * 20.0) / 20.0):
+            for k in (1, 5, 10):
+                got = candidate_sets(heat, k)
+                want = _reference_candidate_sets(heat, k)
+                assert got.dtype == want.dtype == np.int64
+                assert np.array_equal(got, want)
+
+    def test_does_not_keep_the_full_ranking(self):
+        h = softdist(generate_instances(60, 1, seed=1)[0], 0.05)
+        cs = candidate_sets(h, 5)
+        assert cs.flags.c_contiguous and cs.base is None
+
+
 class TestValidateHeatmap:
     def test_rejects_negative(self):
         h = zeros_heatmap(4)

@@ -57,6 +57,8 @@ class TestParams:
         with pytest.raises(ValueError):
             MctsParams(time_budget=0.0)
         with pytest.raises(ValueError):
+            MctsParams(time_budget=True)
+        with pytest.raises(ValueError):
             MctsParams(time_budget=1.0, alpha=-0.1)
         with pytest.raises(ValueError):
             MctsParams(time_budget=1.0, beta=-1.0)
@@ -79,6 +81,13 @@ class TestParams:
             dict(stagnation_limit=10.5),
             dict(max_actions=100.0),
             dict(seed=2.5),
+            dict(seed=True),
+            dict(alpha=True),
+            dict(beta=False),
+            dict(k=True),
+            dict(max_depth=True),
+            dict(stagnation_limit=True),
+            dict(max_actions=False),
         ):
             with pytest.raises(ValueError):
                 MctsParams(time_budget=1.0, **bad)
