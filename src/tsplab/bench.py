@@ -58,6 +58,8 @@ class MctsRunSpec:
                 raise ValueError("softdist runs need a positive finite tau")
         elif self.tau is not None:
             raise ValueError(f"tau is only meaningful for softdist, not {self.method!r}")
+        if self.heatmap_path is not None and not isinstance(self.heatmap_path, str):
+            raise ValueError(f"heatmap_path must be a string, got {self.heatmap_path!r}")
         if self.method == "external" and not self.heatmap_path:
             raise ValueError("external runs need a heatmap path")
         if self.method != "external" and self.heatmap_path:

@@ -153,8 +153,8 @@ def cmd_tune(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     instances = [inst for inst, _ in parse_instances(args.infile)]
-    spec_data = json.loads(Path(args.spec).read_text())
     try:
+        spec_data = json.loads(Path(args.spec).read_text())
         params = MctsParams(**spec_data["params"])
         spec = MctsRunSpec(
             method=spec_data["method"],
@@ -162,7 +162,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             tau=spec_data.get("tau"),
             heatmap_path=spec_data.get("heatmap_path"),
         )
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, json.JSONDecodeError) as e:
         raise ValueError(f"{args.spec}: bad run spec: {e}") from None
     records = run_bench(instances, spec, workers=args.workers)
     refs = parse_ref_lengths(args.refs)

@@ -27,6 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import TspInstance, Tour, is_permutation
+from .heatmap import validate_heatmap
 
 HEATMAP_MAGIC = b"HMAP1"
 
@@ -115,8 +116,8 @@ def heatmap_file(path, instance_id: str) -> Path:
 def parse_heatmap(path) -> np.ndarray:
     """Load a heatmap, auto-detecting binary vs text by the magic bytes.
 
-    Entries must be finite and nonnegative; the diagonal is forced to zero
-    on load.
+    The diagonal, which must be finite and nonnegative, is forced to zero;
+    the map must then pass :func:`tsplab.heatmap.validate_heatmap`.
     """
     path = Path(path)
     with open(path, "rb") as fh:
@@ -126,14 +127,14 @@ def parse_heatmap(path) -> np.ndarray:
         else:
             fh.seek(0)
             h = _parse_heatmap_text(io.TextIOWrapper(fh, encoding="utf-8"), path)
-    if h.shape[0] < 2:
-        raise ParseError(f"{path}: heatmap must be at least 2x2")
-    if not np.all(np.isfinite(h)):
-        raise ParseError(f"{path}: heatmap entries must be finite")
-    if np.any(h < 0.0):
-        raise ParseError(f"{path}: negative heatmap entry")
+    diag = np.diagonal(h)
+    if not np.all(np.isfinite(diag)) or np.any(diag < 0.0):
+        raise ParseError(f"{path}: heatmap diagonal entries must be finite and nonnegative")
     np.fill_diagonal(h, 0.0)
-    return h
+    try:
+        return validate_heatmap(h)
+    except ValueError as e:
+        raise ParseError(f"{path}: {e}") from None
 
 
 def _parse_heatmap_binary(fh, path: Path) -> np.ndarray:
@@ -171,7 +172,7 @@ def _parse_heatmap_text(fh, path: Path) -> np.ndarray:
             rows.append([float(v) for v in vals])
         except ValueError:
             raise ParseError(f"{path}:{lineno}: matrix entries must be numbers") from None
-    return np.array(rows, dtype=np.float64)
+    return np.array(rows, dtype=np.float64).reshape(n, n)
 
 
 def write_heatmap(path, h: np.ndarray, binary: bool = True) -> None:

@@ -1,4 +1,4 @@
-"""Planar TSP instances, tours, and baseline solvers.
+"""Planar TSP instances, tours, 2-opt local search, and the exact solver.
 
 Coordinates live in the unit square and tours are closed cycles stored as
 0-based vertex permutations. Randomness is always explicit: operations take a
@@ -127,36 +127,14 @@ def distance_matrix(instance: TspInstance) -> np.ndarray:
 def tour_length(instance: TspInstance, tour: Tour) -> float:
     """Closed-cycle length of ``tour``, including the wrap-around edge."""
     _require_tour(instance, tour)
-    pts = instance.points[tour.order]
-    seg = pts - np.roll(pts, -1, axis=0)
-    return float(np.linalg.norm(seg, axis=1).sum())
+    return cycle_length(instance.points, tour.order)
 
 
-def cycle_length(d: np.ndarray, order: np.ndarray) -> float:
-    """Closed-cycle length of a vertex order under a distance matrix."""
-    return float(d[order, np.roll(order, -1)].sum())
-
-
-def nearest_neighbor_tour(instance: TspInstance, start: int = 0) -> Tour:
-    """Greedy tour: repeatedly hop to the nearest unvisited vertex.
-
-    Distance ties break toward the lowest vertex index.
-    """
-    n = instance.n
-    if not 0 <= start < n:
-        raise ValueError("start vertex out of range")
-    d = distance_matrix(instance)
-    order = np.empty(n, dtype=np.int64)
-    visited = np.zeros(n, dtype=bool)
-    order[0] = start
-    visited[start] = True
-    v = start
-    for i in range(1, n):
-        row = np.where(visited, np.inf, d[v])
-        v = int(np.argmin(row))
-        order[i] = v
-        visited[v] = True
-    return Tour(order)
+def cycle_length(points: np.ndarray, order: np.ndarray) -> float:
+    """Closed-cycle length of a vertex order over ``points``; bit for bit
+    the sum of its edges' :func:`distance_matrix` entries."""
+    pts = points[order]
+    return float(np.linalg.norm(pts - np.roll(pts, -1, axis=0), axis=1).sum())
 
 
 def _two_opt_order(
@@ -234,9 +212,9 @@ def brute_force_optimal(instance: TspInstance) -> tuple[Tour, float]:
     n = instance.n
     if n > BRUTE_FORCE_MAX_N:
         raise UnsupportedSizeError(f"brute force supports n <= {BRUTE_FORCE_MAX_N}, got {n}")
-    d = distance_matrix(instance)
     if n == 2:
-        return Tour(np.array([0, 1])), cycle_length(d, np.array([0, 1]))
+        return Tour(np.array([0, 1])), cycle_length(instance.points, np.array([0, 1]))
+    d = distance_matrix(instance)
 
     best_len = np.inf
     best_rest: tuple[int, ...] | None = None

@@ -1,7 +1,8 @@
 """Edge-score heatmaps and per-vertex candidate lists.
 
 A heatmap is an ``(n, n)`` array of nonnegative finite scores with a zero
-diagonal; entry ``(i, j)`` rates how attractive edge ``(i, j)`` looks.  The
+diagonal and positive mass in every row (:func:`validate_heatmap`); entry
+``(i, j)`` rates how attractive edge ``(i, j)`` looks.  The
 two built-in generators are :func:`softdist` (a row-wise softmax of negated
 distances) and :func:`zeros_heatmap` (a constant near-zero baseline).
 Externally produced heatmaps enter through :mod:`tsplab.fileio`.
@@ -12,10 +13,6 @@ from __future__ import annotations
 import numpy as np
 
 from .geometry import TspInstance, distance_matrix
-
-
-class DegenerateTemperatureError(ValueError):
-    """A softmax row lost all mass; the inputs were not finite."""
 
 
 def softdist(instance: TspInstance, tau: float) -> np.ndarray:
@@ -33,10 +30,7 @@ def softdist(instance: TspInstance, tau: float) -> np.ndarray:
     np.fill_diagonal(d, np.inf)
     shift = d.min(axis=1, keepdims=True)
     e = np.exp(-(d - shift) / tau)
-    sums = e.sum(axis=1, keepdims=True)
-    if not np.all(np.isfinite(sums)) or np.any(sums <= 0.0):
-        raise DegenerateTemperatureError("softmax row with no finite mass")
-    return e / sums
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def zeros_heatmap(n: int) -> np.ndarray:
@@ -53,16 +47,24 @@ def zeros_heatmap(n: int) -> np.ndarray:
 
 
 def validate_heatmap(h: np.ndarray, n: int | None = None) -> np.ndarray:
-    """Check shape, finiteness, nonnegativity, and zero diagonal."""
+    """Check every heatmap rule: square, at least 2x2, of size ``n`` when
+    given, finite and nonnegative entries, zero diagonal, and positive mass
+    in every row.  Returns ``h`` as float64."""
     h = np.asarray(h, dtype=np.float64)
     if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] < 2:
-        raise ValueError("heatmap must be a square (n, n) array with n >= 2")
+        raise ValueError("heatmap must be a square (n, n) array of at least 2x2")
     if n is not None and h.shape[0] != n:
         raise ValueError(f"heatmap size {h.shape[0]} does not match instance size {n}")
     if not np.all(np.isfinite(h)) or np.any(h < 0.0):
         raise ValueError("heatmap entries must be finite and nonnegative")
     if np.any(np.diagonal(h) != 0.0):
         raise ValueError("heatmap diagonal must be zero")
+    empty = np.flatnonzero(h.sum(axis=1) <= 0.0)
+    if empty.size:
+        raise ValueError(
+            f"heatmap row {empty[0]} has zero total mass; edge weights would be "
+            "undefined (use zeros_heatmap for an uninformative baseline)"
+        )
     return h
 
 
@@ -72,16 +74,15 @@ def candidate_sets(heatmap: np.ndarray, k: int) -> np.ndarray:
     Returns an ``(n, min(k, n-1))`` index array.  Score ties break toward
     the lower vertex index, and a vertex never lists itself.  The result
     depends only on the within-row ordering of scores, so any positive
-    rescaling of the heatmap leaves it unchanged.
+    rescaling of the heatmap leaves it unchanged.  The caller validates
+    ``heatmap`` (see :func:`validate_heatmap`).
     """
-    h = validate_heatmap(heatmap)
     if k < 1:
         raise ValueError("k must be at least 1")
-    n = h.shape[0]
-    cost = -h
+    n = heatmap.shape[0]
+    cost = -heatmap
     np.fill_diagonal(cost, np.inf)
     # a stable sort keeps equal scores in index order: ties go to the lower index
     ranked = np.argsort(cost, axis=1, kind="stable")
     # copy the slice so the full n x n ranking is not kept alive
     return np.ascontiguousarray(ranked[:, : min(k, n - 1)], dtype=np.int64)
-

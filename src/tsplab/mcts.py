@@ -229,24 +229,20 @@ def init_state(
     deadline: float | None = None,
 ) -> MctsState:
     """Build a search state: ``W = 100 * heatmap``, zero ``Q``, and a
-    2-opt-polished random starting tour.
+    2-opt-polished random starting tour.  ``heatmap`` must meet every rule
+    of :func:`validate_heatmap`.
 
     ``deadline`` (a ``time.perf_counter()`` value) stops the 2-opt early,
     leaving the starting tour only partly polished.
     """
     h = validate_heatmap(heatmap, instance.n)
-    if np.any(h.sum(axis=1) <= 0.0):
-        raise ValueError(
-            "heatmap has a row with zero total mass; edge weights would be "
-            "undefined (use zeros_heatmap for an uninformative baseline)"
-        )
     if rng is None:
         rng = rng_for(params.seed, 0, "mcts")
     d = distance_matrix(instance)
     # built before the 2-opt so that the deadline also covers it
     candidates = candidate_sets(h, params.k)
     order = _two_opt_order(d, rng.permutation(instance.n), deadline=deadline)
-    length = cycle_length(d, order)
+    length = cycle_length(instance.points, order)
     return MctsState(
         instance=instance,
         d=d,
@@ -573,7 +569,7 @@ def mcts_solve(
             action, new_order, new_len = res
             if new_len < state.current_length:
                 # re-measure exactly: incremental deltas carry rounding dust
-                exact = cycle_length(state.d, new_order)
+                exact = cycle_length(state.instance.points, new_order)
                 if exact < state.current_length:
                     backpropagate(state, state.current_length, exact, action)
                     state._set_current(new_order.copy(), exact)
@@ -584,7 +580,7 @@ def mcts_solve(
             fails += 1
             if fails >= stagnation:
                 order = _two_opt_order(state.d, _construct_order(state, rng), deadline=deadline)
-                state._set_current(order, cycle_length(state.d, order))
+                state._set_current(order, cycle_length(state.instance.points, order))
                 restarts += 1
                 fails = 0
 

@@ -18,7 +18,6 @@ from tsplab.geometry import (
     brute_force_optimal,
     distance_matrix,
     generate_instances,
-    nearest_neighbor_tour,
     rng_for,
     tour_length,
 )

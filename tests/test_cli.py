@@ -304,6 +304,7 @@ class TestBenchCmd:
         {"method": "softdist", "tau": math.nan, "params": {"time_budget": 10.0}},
         {"method": "softdist", "tau": math.inf, "params": {"time_budget": 10.0}},
         {"method": "zeros", "params": {"time_budget": 10.0, "max_actions": False}},
+        {"method": "external", "heatmap_path": 5, "params": {"time_budget": 10.0}},
     ])
     def test_bad_value_fails_before_any_solve(self, tmp_path, capsys, monkeypatch, spec_data):
         src, refs, spec = self._setup(tmp_path)
@@ -315,6 +316,17 @@ class TestBenchCmd:
         captured = capsys.readouterr()
         assert "error:" in captured.err
         assert "Traceback" not in captured.err
+
+    def test_malformed_spec_names_the_file(self, tmp_path, capsys, monkeypatch):
+        src, refs, spec = self._setup(tmp_path)
+        spec.write_text('{"method": "zeros",\n "params": {time_budget: 10.0}}\n')
+        monkeypatch.setattr(cli, "run_bench", _no_solve)
+        capsys.readouterr()
+        assert main(["bench", "--in", str(src), "--spec", str(spec),
+                     "--refs", str(refs)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {spec}: bad run spec: Expecting property name")
+        assert "line 2 column" in err
 
 
 class TestScoreCmd:

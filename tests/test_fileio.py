@@ -137,8 +137,12 @@ class TestHeatmapFiles:
             ("2\n0 1 0\n1 0\n", "expected 2 values"),
             ("2\n0 a\n1 0\n", "numbers"),
             ("1\n0\n", "at least 2x2"),
+            ("0\n", "at least 2x2"),
             ("2\n0 -1\n1 0\n", "negative"),
             ("2\n0 inf\n1 0\n", "finite"),
+            ("2\n0 0\n0 0\n", "zero total mass"),
+            ("2\nnan 1\n1 0\n", "diagonal"),
+            ("2\n0 1\n1 -1\n", "diagonal"),
         ],
     )
     def test_malformed_text(self, tmp_path, text, fragment):
@@ -146,6 +150,15 @@ class TestHeatmapFiles:
         p.write_text(text)
         with pytest.raises(ParseError, match=fragment):
             parse_heatmap(p)
+
+    def test_zero_mass_row_names_file_and_row(self, tmp_path):
+        h = np.ones((4, 4))
+        h[2] = 0.0
+        p = tmp_path / "h.hmap"
+        write_heatmap(p, h)
+        with pytest.raises(ParseError) as err:
+            parse_heatmap(p)
+        assert str(err.value).startswith(f"{p}: heatmap row 2 has zero total mass")
 
 
 class TestRefLengthFiles:

@@ -17,7 +17,6 @@ from tsplab.geometry import (
     distance_matrix,
     generate_instances,
     is_permutation,
-    nearest_neighbor_tour,
     rng_for,
     tour_length,
     two_opt,
@@ -160,40 +159,21 @@ class TestTourLength:
             assert abs(tour_length(inst, Tour(rotated)) - base) < 1e-9
             assert abs(tour_length(inst, Tour(rotated[::-1])) - base) < 1e-9
 
+    @pytest.mark.parametrize("n", [2, 5, 100, 1000])
+    def test_cycle_length_equals_dense_matrix_sum(self, n):
+        # edge for edge the same floats as distance_matrix, summed the same way
+        for seed in range(5):
+            inst = generate_instances(n, 1, seed=seed)[0]
+            d = distance_matrix(inst)
+            order = rng_for(seed, n, "cycle").permutation(n)
+            assert cycle_length(inst.points, order) == float(d[order, np.roll(order, -1)].sum())
+
     def test_rejects_non_permutations(self):
         inst = _inst(SQUARE)
         with pytest.raises(ValueError):
             tour_length(inst, Tour(np.array([0, 1, 1, 3])))
         with pytest.raises(ValueError):
             tour_length(inst, Tour(np.array([0, 1, 2])))
-
-
-class TestNearestNeighbor:
-    def test_square_hand_trace(self):
-        tour = nearest_neighbor_tour(_inst(SQUARE), start=0)
-        assert tour.order.tolist() == [0, 1, 2, 3]
-        assert abs(tour_length(_inst(SQUARE), tour) - 4.0) < 1e-12
-
-    def test_tie_breaks_to_lowest_index(self):
-        # vertices 1 and 2 are equidistant from 0
-        inst = _inst([[0.5, 0.5], [0.7, 0.5], [0.3, 0.5]])
-        assert nearest_neighbor_tour(inst, start=0).order.tolist() == [0, 1, 2]
-
-    def test_two_points(self):
-        inst = _inst([[0.1, 0.1], [0.9, 0.9]])
-        assert nearest_neighbor_tour(inst, start=1).order.tolist() == [1, 0]
-
-    def test_always_a_permutation(self):
-        for seed in range(10):
-            inst = generate_instances(13, 1, seed=seed)[0]
-            assert is_permutation(nearest_neighbor_tour(inst, start=seed % 13).order, 13)
-
-    def test_rejects_bad_start(self):
-        inst = _inst(SQUARE)
-        with pytest.raises(ValueError):
-            nearest_neighbor_tour(inst, start=-1)
-        with pytest.raises(ValueError):
-            nearest_neighbor_tour(inst, start=4)
 
 
 class TestTwoOpt:
@@ -287,16 +267,17 @@ class TestTwoOptExactness:
         assert np.array_equal(got, np.arange(n))
 
     def test_passed_deadline_stops_after_one_move(self):
-        d = distance_matrix(generate_instances(60, 1, seed=3)[0])
+        inst = generate_instances(60, 1, seed=3)[0]
+        pts, d = inst.points, distance_matrix(inst)
         start = rng_for(3, 0, "deadline").permutation(60)
         got = _two_opt_order(d, start, deadline=time.perf_counter())
         assert is_permutation(got, 60)
-        assert cycle_length(d, got) < cycle_length(d, start)
+        assert cycle_length(pts, got) < cycle_length(pts, start)
         # exactly one reversal away from the start
         changed = np.flatnonzero(got != start)
         i, j = changed[0] - 1, changed[-1]
         assert np.array_equal(got[i + 1 : j + 1], start[i + 1 : j + 1][::-1])
-        assert cycle_length(d, got) > cycle_length(d, _two_opt_order(d, start))
+        assert cycle_length(pts, got) > cycle_length(pts, _two_opt_order(d, start))
 
 
 class TestBruteForce:
@@ -332,7 +313,6 @@ class TestBruteForce:
             _, opt = brute_force_optimal(inst)
             start = Tour(rng_for(seed, 2, "t").permutation(n))
             assert opt <= tour_length(inst, two_opt(inst, start)) + 1e-9
-            assert opt <= tour_length(inst, nearest_neighbor_tour(inst, start=0)) + 1e-9
 
     def test_size_guard(self):
         inst = generate_instances(BRUTE_FORCE_MAX_N + 1, 1, seed=0)[0]

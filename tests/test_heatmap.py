@@ -5,7 +5,6 @@ import pytest
 
 from tsplab.geometry import TspInstance, distance_matrix, generate_instances
 from tsplab.heatmap import (
-    DegenerateTemperatureError,
     candidate_sets,
     softdist,
     validate_heatmap,
@@ -97,9 +96,6 @@ class TestSoftdist:
             h = softdist(inst, tau)
             assert np.all(np.isfinite(h))
             assert np.max(np.abs(h.sum(axis=1) - 1.0)) < 1e-9
-
-    def test_degenerate_error_is_value_error(self):
-        assert issubclass(DegenerateTemperatureError, ValueError)
 
 
 class TestZerosHeatmap:
@@ -222,3 +218,9 @@ class TestValidateHeatmap:
     def test_rejects_size_mismatch(self):
         with pytest.raises(ValueError):
             validate_heatmap(zeros_heatmap(4), 5)
+
+    def test_zero_mass_row_is_named(self):
+        h = zeros_heatmap(5)
+        h[3, :] = 0.0
+        with pytest.raises(ValueError, match="heatmap row 3 has zero total mass"):
+            validate_heatmap(h)

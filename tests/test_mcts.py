@@ -336,7 +336,7 @@ class TestSampleKopt:
         h[0, 2] = h[2, 0] = h[1, 3] = h[3, 1] = 1e-6
         state = _state(instance=inst, heatmap=h)
         crossing = np.array([0, 2, 1, 3])
-        crossing_length = cycle_length(state.d, crossing)
+        crossing_length = cycle_length(inst.points, crossing)
         state._set_current(crossing, crossing_length)
         rng = rng_for(0, 0, "x")
         found = False
