@@ -9,6 +9,7 @@ reference solver's excess over the optimum.
 
 from __future__ import annotations
 
+import json
 import struct
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -28,7 +29,7 @@ _MASK64 = (1 << 64) - 1
 
 SCORE_SENTINEL = "≥100%"  # rendered when the search matches the optimum
 
-_METHODS = ("softdist", "zeros", "external")
+METHODS = ("softdist", "zeros", "external")
 
 
 class UndefinedScoreError(ValueError):
@@ -50,8 +51,8 @@ class MctsRunSpec:
     heatmap_path: str | None = None
 
     def __post_init__(self) -> None:
-        if self.method not in _METHODS:
-            raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
+        if self.method not in METHODS:
+            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.method == "softdist":
             # a bool is not a temperature; written so that NaN fails too
             if self.tau is None or isinstance(self.tau, bool) or not 0.0 < self.tau < np.inf:
@@ -65,15 +66,23 @@ class MctsRunSpec:
         if self.method != "external" and self.heatmap_path:
             raise ValueError("heatmap_path is only meaningful for the external method")
 
-    def check_batch(self, count: int) -> None:
-        """Refuse a single external heatmap file for a batch of ``count`` > 1
-        instances, which would solve every instance with the same map."""
+    def check_batch(self, instances: Sequence[TspInstance]) -> None:
+        """Fail before any solve if an external map of the batch would fail
+        its solve: every map is loaded through :func:`make_heatmap` and
+        dropped.  A single heatmap file is refused for a batch of more than
+        one instance, which would solve every instance with the same map.
+        Other methods need no check."""
+        if self.method != "external":
+            return
         path = self.heatmap_path
-        if count > 1 and self.method == "external" and heatmap_file(path, "0") == Path(path):
+        ids = instance_ids(len(instances))
+        if len(ids) > 1 and heatmap_file(path, ids[0]) == Path(path):
             raise ValueError(
-                f"heatmap path {path} is not a directory; a batch of {count} "
+                f"heatmap path {path} is not a directory; a batch of {len(ids)} "
                 "instances needs a directory of <instance_id>.hmap files"
             )
+        for instance, instance_id in zip(instances, ids):
+            make_heatmap(instance, self.method, self.tau, path, instance_id)
 
     def label(self) -> str:
         if self.method == "softdist":
@@ -81,6 +90,32 @@ class MctsRunSpec:
         if self.method == "external":
             return f"external({self.heatmap_path})"
         return self.method
+
+
+def load_run_spec(path) -> tuple[MctsRunSpec, dict]:
+    """Read a JSON run spec: an object with the :class:`MctsRunSpec` fields,
+    ``params`` holding the :class:`MctsParams` fields.  Returns the spec and
+    the object as read.
+
+    A spec that is not such an object, has an unknown key, or holds a value
+    either class refuses raises ``ValueError("<path>: bad run spec: ...")``.
+    """
+    try:
+        data = json.loads(Path(path).read_text())
+        if not isinstance(data, dict):
+            raise ValueError("expected a JSON object")
+        unknown = sorted(set(data) - {f.name for f in fields(MctsRunSpec)})
+        if unknown:
+            raise ValueError(f"unknown keys {unknown}")
+        spec = MctsRunSpec(**(data | {"params": MctsParams(**data["params"])}))
+    except (KeyError, TypeError, ValueError) as e:
+        raise ValueError(f"{path}: bad run spec: {e}") from None
+    return spec, data
+
+
+def instance_ids(count: int) -> list[str]:
+    """Ids of a batch of ``count`` instances: their 0-based positions as strings."""
+    return [str(i) for i in range(count)]
 
 
 @dataclass
@@ -179,6 +214,22 @@ class Gaps(NamedTuple):
     score_display: str | None = None
 
 
+def check_ids(
+    ids: Sequence[str],
+    refs: Mapping[str, float],
+    reference_lengths: Mapping[str, float] | None = None,
+) -> None:
+    """Raise ``ValueError`` naming any id that ``refs`` or
+    ``reference_lengths`` lacks."""
+    missing = sorted({i for i in ids if i not in refs})
+    if missing:
+        raise ValueError(f"missing reference lengths for instance ids: {missing}")
+    if reference_lengths is not None:
+        missing = sorted({i for i in ids if i not in reference_lengths})
+        if missing:
+            raise ValueError(f"missing reference-solver lengths for instance ids: {missing}")
+
+
 def gap_rows(
     ids: Sequence[str],
     lengths: Sequence[float],
@@ -188,16 +239,9 @@ def gap_rows(
     """Gap of ``lengths`` (one per id) against ``refs``; with
     ``reference_lengths`` also the reference-solver gap and the Score.
 
-    Raises ``ValueError`` naming any id that ``refs`` or
-    ``reference_lengths`` lacks.
+    Raises ``ValueError`` as :func:`check_ids` does.
     """
-    missing = sorted({i for i in ids if i not in refs})
-    if missing:
-        raise ValueError(f"missing reference lengths for instance ids: {missing}")
-    if reference_lengths is not None:
-        missing = sorted({i for i in ids if i not in reference_lengths})
-        if missing:
-            raise ValueError(f"missing reference-solver lengths for instance ids: {missing}")
+    check_ids(ids, refs, reference_lengths)
     searched = np.array(lengths, dtype=np.float64)
     ref_arr = np.array([refs[i] for i in ids])
     gap = compute_gap(searched, ref_arr)
@@ -274,7 +318,7 @@ def run_bench(
 ) -> list[RunRecord]:
     """Solve every instance under ``spec``; records come back in input order.
 
-    Instance ids are the 0-based batch positions as strings.  Each solve is
+    Instance ids come from :func:`instance_ids`.  Each solve is
     single-threaded and seeded from the instance content, so results do not
     depend on ``workers``.
     """
@@ -283,8 +327,8 @@ def run_bench(
     if workers < 1:
         raise ValueError("workers must be at least 1")
     n = len(instances)
-    spec.check_batch(n)
-    args = (instances, [spec] * n, [str(i) for i in range(n)], [checkpoints] * n)
+    spec.check_batch(instances)
+    args = (instances, [spec] * n, instance_ids(n), [checkpoints] * n)
     if workers == 1 or n == 1:
         return list(map(run_single, *args))
     with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -8,13 +8,13 @@ it, recording the tool version and the full parameter set that produced it.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__
-from .bench import MctsRunSpec, aggregate, gap_rows, make_heatmap, run_bench, run_single
-from .bench import score_display
+from .bench import METHODS, MctsRunSpec, aggregate, check_ids, gap_rows, instance_ids
+from .bench import load_run_spec, make_heatmap, run_bench, run_single, score_display
 from .fileio import (
     heatmap_file,
     parse_instances,
@@ -77,7 +77,7 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
         return _usage("--tau is required with --method softdist")
     pairs = parse_instances(args.infile)
     out = args.out if len(pairs) == 1 else f"{Path(args.out)}/"  # a batch goes to a directory
-    files = [heatmap_file(out, str(i)) for i in range(len(pairs))]
+    files = [heatmap_file(out, iid) for iid in instance_ids(len(pairs))]
     to_dir = files[0] != Path(out)
     if to_dir:
         Path(out).mkdir(parents=True, exist_ok=True)
@@ -116,12 +116,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
         return _usage("--trace and --checkpoints go together")
     checkpoints = _parse_floats(args.checkpoints, "--checkpoints") if args.checkpoints else None
 
-    pairs = parse_instances(args.infile)
-    specs = [_solve_spec(args, inst) for inst, _ in pairs]
-    specs[0].check_batch(len(specs))
+    instances = [inst for inst, _ in parse_instances(args.infile)]
+    specs = [_solve_spec(args, inst) for inst in instances]
+    specs[0].check_batch(instances)
     records = []
-    for i, ((inst, _), spec) in enumerate(zip(pairs, specs)):
-        rec = run_single(inst, spec, str(i), checkpoints)
+    for inst, spec, iid in zip(instances, specs, instance_ids(len(instances))):
+        rec = run_single(inst, spec, iid, checkpoints)
         records.append(rec)
         print(f"instance {rec.instance_id}: length {rec.length:.6f} in {rec.elapsed:.2f}s")
     if args.out:
@@ -153,20 +153,11 @@ def cmd_tune(args: argparse.Namespace) -> int:
 
 def cmd_bench(args: argparse.Namespace) -> int:
     instances = [inst for inst, _ in parse_instances(args.infile)]
-    try:
-        spec_data = json.loads(Path(args.spec).read_text())
-        params = MctsParams(**spec_data["params"])
-        spec = MctsRunSpec(
-            method=spec_data["method"],
-            params=params,
-            tau=spec_data.get("tau"),
-            heatmap_path=spec_data.get("heatmap_path"),
-        )
-    except (KeyError, TypeError, json.JSONDecodeError) as e:
-        raise ValueError(f"{args.spec}: bad run spec: {e}") from None
-    records = run_bench(instances, spec, workers=args.workers)
+    spec, spec_data = load_run_spec(args.spec)
     refs = parse_ref_lengths(args.refs)
     reference = parse_ref_lengths(args.reference_lengths) if args.reference_lengths else None
+    check_ids(instance_ids(len(instances)), refs, reference)
+    records = run_bench(instances, spec, workers=args.workers)
     report = aggregate(records, refs, reference)
     _write_out(args, "bench", render_report(report, args.report), "report", spec=spec_data)
     gap = f"{report.gap * 100:.4f}%"
@@ -196,11 +187,12 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
+    pairs = parse_instances(args.infile)
     refs = {}
-    for i, (inst, _) in enumerate(parse_instances(args.infile)):
+    for iid, (inst, _) in zip(instance_ids(len(pairs)), pairs):
         _tour, length = brute_force_optimal(inst)
-        refs[str(i)] = length
-        print(f"instance {i}: optimal length {length:.6f}")
+        refs[iid] = length
+        print(f"instance {iid}: optimal length {length:.6f}")
     if args.out:
         write_ref_lengths(args.out, refs)
         _wrote(args, "oracle", f"optimal lengths to {args.out}")
@@ -208,6 +200,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    search = {f.name: f.default for f in fields(MctsParams)}
     p = argparse.ArgumentParser(
         prog="tsplab",
         description="Euclidean TSP workbench: instances, heatmaps, guided k-opt search, "
@@ -225,7 +218,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     h = sub.add_parser("heatmap", help="generate heatmaps for an instance file")
     h.add_argument("--in", dest="infile", required=True)
-    h.add_argument("--method", choices=["softdist", "zeros"], default="softdist")
+    h.add_argument("--method", choices=[m for m in METHODS if m != "external"],
+                   default="softdist")
     h.add_argument("--tau", type=float, help="softdist temperature")
     h.add_argument("--format", choices=["binary", "text"], default="binary")
     h.add_argument("--out", required=True, help="file for one instance, directory for many")
@@ -233,17 +227,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("solve", help="run the guided search on each instance")
     s.add_argument("--in", dest="infile", required=True)
-    s.add_argument("--method", choices=["softdist", "zeros", "external"])
+    s.add_argument("--method", choices=METHODS)
     s.add_argument("--tau", type=float, help="softdist temperature (default: size-interpolated)")
     s.add_argument("--heatmap", help="external heatmap file or directory")
     s.add_argument("--budget", type=float, help="seconds per instance (default: profile-based)")
     s.add_argument("--profile", choices=["default", "short"], default="default",
                    help="fallback budget: n/10s (default) or n/25s (short)")
-    s.add_argument("--alpha", type=float, default=1.0)
-    s.add_argument("--beta", type=float, default=10.0)
-    s.add_argument("--k", type=int, default=5)
-    s.add_argument("--depth", type=int, default=10)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--alpha", type=float, default=search["alpha"])
+    s.add_argument("--beta", type=float, default=search["beta"])
+    s.add_argument("--k", type=int, default=search["k"])
+    s.add_argument("--depth", type=int, default=search["max_depth"])
+    s.add_argument("--seed", type=int, default=search["seed"])
     s.add_argument("--max-actions", type=int, help="optional deterministic action cap")
     s.add_argument("--out", help="write a lengths CSV (instance_id,length)")
     s.add_argument("--trace", help="write best-length traces to this CSV")
@@ -253,7 +247,7 @@ def _build_parser() -> argparse.ArgumentParser:
     t = sub.add_parser("tune", help="two-stage temperature grid search")
     t.add_argument("--in", dest="infile", required=True)
     t.add_argument("--budget", type=float, required=True, help="seconds per solve")
-    t.add_argument("--seed", type=int, default=0)
+    t.add_argument("--seed", type=int, default=search["seed"])
     t.add_argument("--workers", type=int, default=1)
     t.add_argument("--coarse", help="comma-separated coarse temperatures")
     t.add_argument("--refine-step", type=float)
@@ -265,7 +259,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     b = sub.add_parser("bench", help="batch-solve and report Gap/Score")
     b.add_argument("--in", dest="infile", required=True)
-    b.add_argument("--spec", required=True, help="JSON run spec: method, tau?, params{...}")
+    b.add_argument("--spec", required=True,
+                   help="JSON run spec: method, tau?, heatmap_path?, params{...}")
     b.add_argument("--refs", required=True, help="optimal lengths CSV")
     b.add_argument("--lkh-refs", "--reference-lengths", dest="reference_lengths",
                    help="reference-solver lengths CSV (enables Score)")

@@ -87,10 +87,6 @@ class Tour:
             raise ValueError("tour order must be a 1-d sequence of at least 2 indices")
         object.__setattr__(self, "order", arr)
 
-    @property
-    def n(self) -> int:
-        return int(self.order.shape[0])
-
 
 def is_permutation(order: np.ndarray, n: int) -> bool:
     order = np.asarray(order)

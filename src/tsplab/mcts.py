@@ -169,8 +169,8 @@ class MctsState:
     """Mutable engine state.
 
     ``current``/``best`` are raw permutation arrays managed by the engine;
-    use :meth:`current_tour`/:meth:`best_tour` for checked views.  ``Q`` is
-    kept symmetric by construction.
+    use :meth:`current_tour` for a checked view.  ``Q`` is kept symmetric by
+    construction.
     """
 
     instance: TspInstance
@@ -208,9 +208,6 @@ class MctsState:
     def current_tour(self) -> Tour:
         return Tour(self.current.copy())
 
-    def best_tour(self) -> Tour:
-        return Tour(self.best.copy())
-
     def _set_current(self, order: np.ndarray, length: float) -> None:
         self.current = order
         self.current_length = length
@@ -218,6 +215,12 @@ class MctsState:
         if length < self.best_length:
             self.best = order.copy()
             self.best_length = length
+
+
+def _engine_rng(params: MctsParams) -> np.random.Generator:
+    """The search's random stream; ``init_state`` draws its starting tour
+    from it, and ``mcts_solve`` keeps drawing from the same stream."""
+    return rng_for(params.seed, 0, "mcts")
 
 
 def init_state(
@@ -237,7 +240,7 @@ def init_state(
     """
     h = validate_heatmap(heatmap, instance.n)
     if rng is None:
-        rng = rng_for(params.seed, 0, "mcts")
+        rng = _engine_rng(params)
     d = distance_matrix(instance)
     # built before the 2-opt so that the deadline also covers it
     candidates = candidate_sets(h, params.k)
@@ -540,7 +543,7 @@ def mcts_solve(
     cps = _validated_checkpoints(checkpoints, params.time_budget)
     t0 = time.perf_counter()
     deadline = t0 + params.time_budget
-    rng = rng_for(params.seed, 0, "mcts")
+    rng = _engine_rng(params)
     state = init_state(instance, heatmap, params, rng=rng, deadline=deadline)
     stagnation = (
         params.stagnation_limit if params.stagnation_limit is not None else 100 * state.n

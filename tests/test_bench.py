@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -210,6 +211,30 @@ class TestRunBench:
         monkeypatch.setattr(bench, "mcts_solve", _no_solve)
         with pytest.raises(ValueError, match="not a directory"):
             run_bench(instances, spec)
+
+    @pytest.mark.parametrize("bad_map, error, match", [
+        (lambda h: np.where(np.arange(6)[:, None] == 2, 0.0, h), ValueError, "heatmap row 2 "),
+        (lambda h: np.ones((7, 7)) - np.eye(7), ValueError, "heatmap size 7 does not match"),
+        (None, FileNotFoundError, "No such file"),
+    ], ids=["zero-row", "wrong-size", "missing"])
+    def test_bad_external_map_fails_before_any_solve(self, tmp_path, monkeypatch,
+                                                     bad_map, error, match):
+        instances = generate_instances(6, 3, seed=36)
+        for i, inst in enumerate(instances):
+            write_heatmap(tmp_path / f"{i}.hmap", softdist(inst, 0.05))
+        bad = tmp_path / "1.hmap"
+        if bad_map is None:
+            bad.unlink()
+        else:
+            write_heatmap(bad, bad_map(softdist(instances[1], 0.05)))
+        spec = MctsRunSpec(
+            method="external", params=MctsParams(time_budget=10.0, max_actions=40),
+            heatmap_path=str(tmp_path),
+        )
+        monkeypatch.setattr(bench, "mcts_solve", _no_solve)
+        with pytest.raises(error, match=re.escape(match)) as info:
+            run_bench(instances, spec)
+        assert str(bad) in str(info.value)
 
     def test_external_size_mismatch_names_the_file(self, tmp_path):
         inst = generate_instances(6, 1, seed=36)[0]

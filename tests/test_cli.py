@@ -190,6 +190,23 @@ class TestSolveCmd:
         assert "not a directory" in captured.err
         assert "instance 0" not in captured.out
 
+    def test_bad_external_map_fails_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        src = _gen(tmp_path, count=2)
+        maps = tmp_path / "maps"
+        assert main(["heatmap", "--in", str(src), "--tau", "0.05", "--out", str(maps)]) == 0
+        h = parse_heatmap(maps / "1.hmap")
+        h[2] = 0.0
+        write_heatmap(maps / "1.hmap", h)
+        out = tmp_path / "lens.csv"
+        monkeypatch.setattr(cli, "run_single", _no_solve)
+        capsys.readouterr()
+        assert main(["solve", "--in", str(src), "--heatmap", str(maps), "--budget", "2",
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {maps / '1.hmap'}: heatmap row 2 ")
+        assert "instance 0" not in captured.out
+        assert not out.exists()
+
     def test_default_budget_with_action_cap(self, tmp_path, capsys):
         src = _gen(tmp_path, count=1)
         assert main(["solve", "--in", str(src), "--profile", "short",
@@ -305,6 +322,9 @@ class TestBenchCmd:
         {"method": "softdist", "tau": math.inf, "params": {"time_budget": 10.0}},
         {"method": "zeros", "params": {"time_budget": 10.0, "max_actions": False}},
         {"method": "external", "heatmap_path": 5, "params": {"time_budget": 10.0}},
+        {"method": "zeros", "params": {"time_budget": -1}},
+        {"method": "zeros", "workers": 8, "heatmap_dir": "x", "params": {"time_budget": 10.0}},
+        ["zeros", {"time_budget": 10.0}],
     ])
     def test_bad_value_fails_before_any_solve(self, tmp_path, capsys, monkeypatch, spec_data):
         src, refs, spec = self._setup(tmp_path)
@@ -314,8 +334,28 @@ class TestBenchCmd:
         assert main(["bench", "--in", str(src), "--spec", str(spec),
                      "--refs", str(refs)]) == 1
         captured = capsys.readouterr()
-        assert "error:" in captured.err
+        assert captured.err.startswith(f"error: {spec}: bad run spec: ")
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("flag, rows, err", [
+        ("--refs", None, "No such file"),
+        ("--refs", {"0": 1.0, "2": 1.0}, "missing reference lengths for instance ids: ['1']"),
+        ("--lkh-refs", {"0": 1.0, "2": 1.0},
+         "missing reference-solver lengths for instance ids: ['1']"),
+    ], ids=["missing-refs", "refs-without-id", "lkh-refs-without-id"])
+    def test_bad_lengths_fail_before_any_solve(self, tmp_path, capsys, monkeypatch,
+                                               flag, rows, err):
+        src, refs, spec = self._setup(tmp_path)
+        lengths = tmp_path / "lengths.csv"
+        if rows is not None:
+            write_ref_lengths(lengths, rows)
+        monkeypatch.setattr(cli, "run_bench", _no_solve)
+        capsys.readouterr()
+        assert main(["bench", "--in", str(src), "--spec", str(spec), "--refs", str(refs),
+                     flag, str(lengths)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert err in captured.err
 
     def test_malformed_spec_names_the_file(self, tmp_path, capsys, monkeypatch):
         src, refs, spec = self._setup(tmp_path)

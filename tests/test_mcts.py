@@ -120,7 +120,7 @@ class TestInitState:
         assert np.array_equal(state.best, state.current)
         assert is_permutation(state.current, 9)
         inst = state.instance
-        assert abs(state.best_length - tour_length(inst, state.best_tour())) < 1e-12
+        assert abs(state.best_length - tour_length(inst, Tour(state.best))) < 1e-12
         assert state.best_length == state.current_length
 
     def test_candidate_shape(self):
