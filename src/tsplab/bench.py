@@ -20,6 +20,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from . import _kopt
 from .fileio import heatmap_file, parse_heatmap
 from .geometry import TspInstance
 from .heatmap import softdist, zeros_heatmap
@@ -108,7 +109,9 @@ def load_run_spec(path) -> tuple[MctsRunSpec, dict]:
         if unknown:
             raise ValueError(f"unknown keys {unknown}")
         spec = MctsRunSpec(**(data | {"params": MctsParams(**data["params"])}))
-    except (KeyError, TypeError, ValueError) as e:
+    except KeyError as e:
+        raise ValueError(f"{path}: bad run spec: missing key {e}") from None
+    except (TypeError, ValueError) as e:
         raise ValueError(f"{path}: bad run spec: {e}") from None
     return spec, data
 
@@ -269,15 +272,17 @@ def make_heatmap(
     method: str,
     tau: float | None = None,
     heatmap_path: str | None = None,
-    instance_id: str = "0",
+    instance_id: str | None = None,
 ) -> np.ndarray:
     """The heatmap ``method`` gives ``instance``: softdist at ``tau``, the
-    zeros baseline, or the external file of ``instance_id`` under
-    ``heatmap_path``."""
+    zeros baseline, or the external file of ``instance_id`` (one of
+    :func:`instance_ids`) under ``heatmap_path``."""
     if method == "softdist":
         return softdist(instance, tau)
     if method == "zeros":
         return zeros_heatmap(instance.n)
+    if instance_id is None:
+        raise ValueError("an external heatmap needs the instance id")
     path = heatmap_file(heatmap_path, instance_id)
     h = parse_heatmap(path)
     if h.shape[0] != instance.n:
@@ -290,10 +295,11 @@ def make_heatmap(
 def run_single(
     instance: TspInstance,
     spec: MctsRunSpec,
-    instance_id: str = "0",
+    instance_id: str,
     checkpoints: list[float] | None = None,
 ) -> RunRecord:
-    """Solve one instance under a run spec; run_bench solves each instance here."""
+    """Solve one instance, whose id is one of :func:`instance_ids`, under a
+    run spec; run_bench solves each instance here."""
     t0 = time.perf_counter()
     h = make_heatmap(instance, spec.method, spec.tau, spec.heatmap_path, instance_id)
     h_seconds = time.perf_counter() - t0
@@ -331,6 +337,11 @@ def run_bench(
     args = (instances, [spec] * n, instance_ids(n), [checkpoints] * n)
     if workers == 1 or n == 1:
         return list(map(run_single, *args))
+    # forked workers inherit what is loaded here instead of each loading it on
+    # its first solve: the sampler kernel, and numpy.random, which numpy
+    # imports only on first use
+    _kopt.load()
+    import numpy.random  # noqa: F401
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run_single, *args))
 

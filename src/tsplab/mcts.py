@@ -39,6 +39,7 @@ from numbers import Integral
 
 import numpy as np
 
+from . import _kopt
 from .geometry import (
     TspInstance,
     Tour,
@@ -169,8 +170,10 @@ class MctsState:
     """Mutable engine state.
 
     ``current``/``best`` are raw permutation arrays managed by the engine;
-    use :meth:`current_tour` for a checked view.  ``Q`` is kept symmetric by
-    construction.
+    use :meth:`current_tour` for a checked view.  ``current`` is one buffer
+    for the state's life, rewritten in place by :meth:`_set_current`, and
+    ``W``, ``Q`` and ``d`` are never replaced: the compiled sampler holds
+    their addresses.  ``Q`` is kept symmetric by construction.
     """
 
     instance: TspInstance
@@ -190,6 +193,7 @@ class MctsState:
     _scratch: np.ndarray = field(init=False, repr=False)
     _cur_pos: np.ndarray = field(init=False, repr=False)
     _cand_lists: list[list[int]] = field(init=False, repr=False)
+    _sample: Callable = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         n = self.instance.n
@@ -200,6 +204,7 @@ class MctsState:
         self._scratch = np.empty(n, dtype=np.int64)
         self._cur_pos = np.empty(n, dtype=np.int64)
         self._cur_pos[self.current] = self._iota
+        self._sample = _bind_sampler
 
     @property
     def n(self) -> int:
@@ -209,7 +214,7 @@ class MctsState:
         return Tour(self.current.copy())
 
     def _set_current(self, order: np.ndarray, length: float) -> None:
-        self.current = order
+        self.current[:] = order
         self.current_length = length
         self._cur_pos[order] = self._iota
         if length < self.best_length:
@@ -354,6 +359,10 @@ def _sample_action(
     tour (a scratch buffer overwritten by the next call) and ``length`` its
     closed length, or ``None`` when the anchor admits no extension at all.
 
+    Solves run the same steps compiled (``_kopt.c``, see
+    :func:`_bind_sampler`); this function runs when the kernel cannot be
+    built, and tests hold the kernel to it sample by sample.
+
     Each step looks at no more than ``k`` candidates, so it runs as scalar
     Python: numpy's per-call cost would exceed the work.  Only the O(n)
     rotation, segment reversal and ``pos`` update stay as numpy slices.  The
@@ -450,6 +459,35 @@ def _sample_action(
     return KoptAction(tuple(seq)), order, length
 
 
+def _bind_sampler(
+    state: MctsState, rng: np.random.Generator
+) -> tuple[KoptAction, np.ndarray, float] | None:
+    """A state's first sample: binds ``state._sample`` for good, then samples.
+
+    The sampler is the compiled kernel of ``_kopt.c``, or
+    :func:`_sample_action` when the kernel cannot be built.  Both return the
+    same values and leave ``M``, ``Q`` and ``rng`` in the same state, bit for
+    bit.  Binding on the first sample, not in ``init_state``, keeps a solve
+    that never samples from building or loading the kernel.
+    """
+    bound = _kopt.bind(state)
+    if bound is None:
+        state._sample = _sample_action
+    else:
+        kernel, seq, length = bound
+        order = state._scratch
+
+        def sample(state: MctsState, rng: np.random.Generator):
+            count = kernel(state, rng)
+            if count == 0:
+                return None
+            state.M += 1
+            return KoptAction(tuple(seq[:count].tolist())), order, length.value
+
+        state._sample = sample
+    return state._sample(state, rng)
+
+
 def sample_kopt(state: MctsState, rng: np.random.Generator) -> KoptAction | None:
     """Sample one k-opt action from the current tour.
 
@@ -458,7 +496,7 @@ def sample_kopt(state: MctsState, rng: np.random.Generator) -> KoptAction | None
     nothing is counted).  The action may or may not improve the tour; the
     caller decides acceptance.
     """
-    res = _sample_action(state, rng)
+    res = state._sample(state, rng)
     return None if res is None else res[0]
 
 
@@ -555,7 +593,8 @@ def mcts_solve(
 
     # on 2 or 3 vertices no k-opt action exists and every tour has the same
     # length, so the initial tour is returned without searching
-    while state.n > 3:
+    searchable = state.n > 3
+    while searchable:
         now = time.perf_counter() - t0
         if cps is not None:
             while ci < len(cps) and now >= cps[ci]:
@@ -566,7 +605,7 @@ def mcts_solve(
         if params.max_actions is not None and state.M >= params.max_actions:
             break
 
-        res = _sample_action(state, rng)
+        res = state._sample(state, rng)
         accepted = False
         if res is not None:
             action, new_order, new_len = res
@@ -575,7 +614,7 @@ def mcts_solve(
                 exact = cycle_length(state.instance.points, new_order)
                 if exact < state.current_length:
                     backpropagate(state, state.current_length, exact, action)
-                    state._set_current(new_order.copy(), exact)
+                    state._set_current(new_order, exact)
                     accepted = True
         if accepted:
             fails = 0

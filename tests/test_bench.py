@@ -1,5 +1,9 @@
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +19,7 @@ from tsplab.bench import (
     compute_gap,
     compute_score,
     instance_seed,
+    make_heatmap,
     run_bench,
     run_single,
 )
@@ -151,12 +156,23 @@ class TestRunSingle:
         inst = generate_instances(7, 1, seed=32)[0]
         _, opt = brute_force_optimal(inst)
         params = MctsParams(time_budget=0.2, seed=0)
-        record = run_single(inst, MctsRunSpec(method="zeros", params=params))
+        record = run_single(inst, MctsRunSpec(method="zeros", params=params), "0")
         assert record.instance_id == "0"
         assert record.method == "zeros"
         assert record.length >= opt - 1e-9
         assert record.seed == instance_seed(0, inst)
         assert record.elapsed >= 0.0
+
+    def test_instance_id_has_no_default(self, tmp_path):
+        # the id rule lives in instance_ids alone: no caller may fall back to "0"
+        inst = generate_instances(6, 1, seed=36)[0]
+        write_heatmap(tmp_path / "0.hmap", softdist(inst, 0.05))
+        params = MctsParams(time_budget=10.0, max_actions=40)
+        with pytest.raises(TypeError):
+            run_single(inst, MctsRunSpec(method="zeros", params=params))
+        with pytest.raises(ValueError, match="needs the instance id"):
+            make_heatmap(inst, "external", heatmap_path=str(tmp_path))
+        assert make_heatmap(inst, "zeros").shape == (6, 6)
 
 
 class TestRunBench:
@@ -175,6 +191,35 @@ class TestRunBench:
         parallel = run_bench(instances, spec, workers=2)
         assert [r.length for r in serial] == [r.length for r in parallel]
         assert [r.seed for r in serial] == [r.seed for r in parallel]
+
+    def test_pool_forks_after_what_workers_need_is_loaded(self):
+        # so that each worker inherits the sampler kernel and numpy.random
+        # instead of loading them on its first solve; numpy imports
+        # numpy.random lazily, so only a fresh interpreter shows it
+        code = "\n".join([
+            "import sys",
+            "import numpy as np",
+            "from tsplab import _kopt, bench",
+            "from tsplab.geometry import TspInstance",
+            "from tsplab.mcts import MctsParams",
+            "assert _kopt._kernel is None and 'numpy.random' not in sys.modules",
+            "real, seen = bench.ProcessPoolExecutor, []",
+            "def pool(*args, **kwargs):",
+            "    seen.append((_kopt._kernel is not None, 'numpy.random' in sys.modules))",
+            "    return real(*args, **kwargs)",
+            "bench.ProcessPoolExecutor = pool",
+            "t = np.linspace(0.0, 6.0, 8)",
+            "insts = [TspInstance(np.c_[0.5 + r * np.cos(t), 0.5 + r * np.sin(t)])"
+            " for r in (0.3, 0.4)]",
+            "spec = bench.MctsRunSpec(method='zeros', "
+            "params=MctsParams(time_budget=10.0, max_actions=20))",
+            "bench.run_bench(insts, spec, workers=2)",
+            "assert seen == [(True, True)], seen",
+        ])
+        env = dict(os.environ, PYTHONPATH=str(Path(bench.__file__).resolve().parents[1]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
 
     def test_external_directory_matches_in_memory_softdist(self, tmp_path):
         instances = generate_instances(8, 3, seed=35)
@@ -245,7 +290,7 @@ class TestRunBench:
             heatmap_path=str(path),
         )
         with pytest.raises(ValueError, match=f"^{path}: heatmap size 7 does not match"):
-            run_single(inst, spec)
+            run_single(inst, spec, "0")
 
     def test_checkpoints_flow_into_records(self):
         instances = generate_instances(6, 2, seed=37)

@@ -1,6 +1,10 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,6 +39,28 @@ class TestTopLevel:
     def test_version(self, capsys):
         assert main(["--version"]) == 0
         assert capsys.readouterr().out.strip() == "tsplab 0.1.0"
+
+    def test_import_gen_and_heatmap_leave_the_kernel_alone(self, tmp_path):
+        # the sampler kernel is built and loaded on the first sample only, so
+        # set-up commands pay nothing for it
+        out = tmp_path / "work"
+        (out / "maps").mkdir(parents=True)
+        code = "\n".join([
+            "from tsplab import _kopt, cli",
+            f"assert cli.main(['gen', '--n', '20', '--count', '2', '--out', '{out}/i.txt']) == 0",
+            f"assert cli.main(['heatmap', '--in', '{out}/i.txt', '--method', 'softdist',"
+            f" '--tau', '0.02', '--out', '{out}/maps']) == 0",
+            "assert _kopt._kernel is None",
+        ])
+        (tmp_path / "tmp").mkdir()
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]),
+                   XDG_CACHE_HOME=str(tmp_path / "cache"), TMPDIR=str(tmp_path / "tmp"))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert len(list((out / "maps").iterdir())) == 2
+        assert not (tmp_path / "cache").exists()
+        assert not list((tmp_path / "tmp").iterdir())
 
     def test_unknown_subcommand(self, capsys):
         assert main(["polish"]) == 2
@@ -290,7 +316,7 @@ class TestBenchCmd:
         spec.write_text(json.dumps({"method": "zeros"}))
         assert main(["bench", "--in", str(src), "--spec", str(spec),
                      "--refs", str(refs)]) == 1
-        assert "bad run spec" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {spec}: bad run spec: missing key 'params'\n"
 
     def test_non_integer_k_means_runtime_error(self, tmp_path, capsys):
         src, refs, spec = self._setup(tmp_path)

@@ -1,11 +1,20 @@
+import ctypes
 import hashlib
 import json
 import math
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
 import time
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from tsplab import _kopt
 from tsplab.geometry import (
     Tour,
     TspInstance,
@@ -23,6 +32,7 @@ from tsplab.mcts import (
     KoptAction,
     MctsParams,
     _pick,
+    _sample_action,
     apply_kopt,
     backpropagate,
     construct_tour,
@@ -583,3 +593,159 @@ def test_golden_capped_output(name):
     got = (result.best_length, digest.hexdigest()[:16], result.actions_sampled, result.restarts)
     assert repr(got[0]) == repr(GOLDEN[name][0])
     assert got == GOLDEN[name]
+
+
+def _golden_solve(name: str) -> tuple:
+    inst, h, kw = _golden_case(name)
+    result = mcts_solve(inst, h, MctsParams(time_budget=600.0, **kw))
+    digest = hashlib.sha256(np.asarray(result.best.order, dtype=np.int64).tobytes())
+    return result.best_length, digest.hexdigest()[:16], result.actions_sampled, result.restarts
+
+
+def _require_kernel():
+    if shutil.which("cc") is None and shutil.which("gcc") is None:
+        pytest.skip("no C compiler on PATH: only the Python sampler runs here")
+    assert _kopt.load() is not None
+
+
+def _subprocess_env(tmp_path) -> dict:
+    src = str(Path(_kopt.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=src, XDG_CACHE_HOME=str(tmp_path / "cache"))
+
+
+def _twin_states(n, k, heatmap, alpha, max_depth, seed=0):
+    """Two equal states, the first on the Python sampler, the second on the kernel."""
+    inst = generate_instances(n, 1, seed=seed)[0]
+    h = {
+        "softdist": lambda: softdist(inst, default_tau(n)),
+        "zeros": lambda: zeros_heatmap(n),
+        "sparse": lambda: _nearest_pair_heatmap(inst),
+    }[heatmap]()
+    params = MctsParams(time_budget=1.0, seed=seed, alpha=alpha, k=k, max_depth=max_depth)
+    py, c = init_state(inst, h, params), init_state(inst, h, params)
+    py._sample = _sample_action
+    return py, c
+
+
+def _rng_state(rng) -> str:
+    return json.dumps(rng.bit_generator.state, default=np.ndarray.tolist)
+
+
+def _step_both(py, c, rng_py, rng_c):
+    """One sample on each state; both must return and leave the same."""
+    a, b = py._sample(py, rng_py), c._sample(c, rng_c)
+    assert c._sample is not _sample_action
+    assert (a is None) == (b is None)
+    if a is not None:
+        assert a[0] == b[0]
+        assert np.array_equal(a[1], b[1])
+        assert repr(a[2]) == repr(b[2])
+    assert py.M == c.M
+    assert np.array_equal(py.Q, c.Q)
+    assert _rng_state(rng_py) == _rng_state(rng_c)
+    # accept improvements as a solve does, so W, the row sums and the tour move
+    if a is not None and a[2] < py.current_length:
+        for state, (action, order, length) in ((py, a), (c, b)):
+            backpropagate(state, state.current_length, length, action)
+            state._set_current(order, length)
+    return a
+
+
+# (heatmap, alpha, max_depth, a fresh generator per call)
+PARITY_CASES = [
+    ("softdist", 1.0, 40, False),
+    ("zeros", 0.0, 2, True),
+    ("sparse", 0.0, 40, True),
+    ("sparse", 1.0, 2, False),
+]
+
+
+class TestCompiledSampler:
+    """The compiled sampler (``_kopt.c``) against the Python one, its oracle."""
+
+    @pytest.mark.parametrize("k", ["1", "5", "n-1"])
+    @pytest.mark.parametrize("n", [4, 5, 7, 50, 100, 300])
+    def test_parity_sample_by_sample(self, n, k):
+        _require_kernel()
+        k = n - 1 if k == "n-1" else int(k)
+        for case, (heatmap, alpha, depth, fresh) in enumerate(PARITY_CASES):
+            py, c = _twin_states(n, k, heatmap, alpha, depth, seed=n + case)
+            rng_py, rng_c = rng_for(case, 0, "parity"), rng_for(case, 0, "parity")
+            for i in range(80):
+                if fresh:
+                    # the kernel reads the generator on every call, not once per state
+                    rng_py, rng_c = rng_for(case, i, "parity"), rng_for(case, i, "parity")
+                _step_both(py, c, rng_py, rng_c)
+            assert np.array_equal(py.W, c.W) and np.array_equal(py.current, c.current)
+
+    def test_buffers_grow_with_max_depth(self):
+        # max_depth has no upper bound: actions far longer than any fixed
+        # C array must still match
+        _require_kernel()
+        py, c = _twin_states(100, 99, "zeros", 1.0, 10**4, seed=3)
+        rng_py, rng_c = rng_for(3, 0, "long"), rng_for(3, 0, "long")
+        longest = max(
+            (a[0].k for a in (_step_both(py, c, rng_py, rng_c) for _ in range(10)) if a),
+            default=0,
+        )
+        assert longest >= 90
+
+    def test_context_is_bound_once_per_state(self, monkeypatch):
+        _require_kernel()
+        bound = []
+        real = _kopt.bind
+        monkeypatch.setattr(_kopt, "bind", lambda state: bound.append(state) or real(state))
+        state = _state(n=30, seed=3)
+        for i in range(50):
+            sample_kopt(state, rng_for(3, i, "bind"))
+        assert bound == [state]
+
+    @pytest.mark.parametrize("compiled", [False, True], ids=["python", "compiled"])
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_golden_on_both_samplers(self, name, compiled, monkeypatch):
+        if compiled:
+            _require_kernel()
+        else:
+            monkeypatch.setattr(_kopt, "_kernel", False)
+        assert _golden_solve(name) == GOLDEN[name]
+
+    def test_falls_back_with_one_warning(self, tmp_path, monkeypatch):
+        # no compiler and an empty cache: the Python sampler runs, same output
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+        monkeypatch.setattr(shutil, "which", lambda name: None)
+        monkeypatch.setattr(_kopt, "_kernel", None)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for name in ("zeros", "depth2"):
+                assert _golden_solve(name) == GOLDEN[name]
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert "no C compiler" in str(caught[0].message)
+        assert not list(tmp_path.rglob("*.so"))
+
+    def test_loads_through_ctypes_without_cffi(self, tmp_path):
+        # numpy stays the only dependency
+        _require_kernel()
+        pyproject = Path(_kopt.__file__).resolve().parents[2] / "pyproject.toml"
+        if pyproject.is_file():
+            assert 'dependencies = ["numpy>=1.24"]\n' in pyproject.read_text()
+        code = ("import sys; sys.modules['cffi'] = None\n"
+                "from tsplab import _kopt; assert _kopt.load() is not None")
+        done = subprocess.run([sys.executable, "-W", "error", "-c", code],
+                              env=_subprocess_env(tmp_path), capture_output=True, text=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+
+    def test_concurrent_builds_leave_one_library(self, tmp_path):
+        _require_kernel()
+        code = "from tsplab import _kopt; assert _kopt.load() is not None"
+        procs = [
+            subprocess.Popen([sys.executable, "-W", "error", "-c", code],
+                             env=_subprocess_env(tmp_path), stderr=subprocess.PIPE, text=True)
+            for _ in range(2)
+        ]
+        errors = [p.communicate(timeout=120)[1] for p in procs]
+        assert [p.returncode for p in procs] == [0, 0], errors
+        cache = tmp_path / "cache" / "tsplab"
+        assert [p.name for p in cache.iterdir()] == [_kopt.library_name()]
+        ctypes.CDLL(str(cache / _kopt.library_name())).kopt_sample
