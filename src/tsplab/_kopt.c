@@ -1,16 +1,24 @@
-/* One k-opt sample, the compiled form of tsplab.mcts._sample_action.
+/* The compiled search loop of tsplab.mcts: one k-opt sample
+ * (kopt_sample, the compiled form of mcts._sample_action), the sample ->
+ * reject -> count-fails cycle of a solve (kopt_run, the compiled form of
+ * mcts._run_python) and first-improvement 2-opt (kopt_two_opt, the compiled
+ * form of geometry._two_opt_order's numpy scan).
  *
- * Every step mirrors the Python function: the same candidates are tried in
- * the same order, each potential is the same IEEE double arithmetic in the
- * same order (build with -ffp-contract=off, so no step is fused), and each
- * draw comes from the solve's own numpy generator through its bit
- * generator, exactly as rng.integers and rng.random draw.  So the same
- * seed gives the same action, tour, length, counts and generator state,
- * bit for bit.
+ * Every step mirrors the Python functions: the same candidates are tried in
+ * the same order, each potential and each 2-opt delta is the same IEEE
+ * double arithmetic in the same order (build with -ffp-contract=off, so no
+ * step is fused), and each draw comes from the solve's own numpy generator
+ * through its bit generator, exactly as rng.integers and rng.random draw.
+ * So the same seed gives the same action, tour, length, counts and
+ * generator state, bit for bit.
  */
+
+/* clock_gettime and CLOCK_MONOTONIC under a strict -std */
+#define _POSIX_C_SOURCE 199309L
 
 #include <math.h>
 #include <stdint.h>
+#include <time.h>
 
 /* numpy's bitgen_t, numpy/random/bitgen.h */
 typedef struct {
@@ -192,4 +200,131 @@ int64_t kopt_sample(const kopt_ctx *c, bitgen_t *bg, double c0, double bonus, do
     }
     *out_length = length;
     return len;
+}
+
+/* Counters of one kopt_run call.  Mirrored by tsplab._kopt._Run; keep the
+ * two in the same order. */
+typedef struct {
+    int64_t M;             /* actions sampled, in and out */
+    int64_t fails;         /* samples since the last accepted move, in and out */
+    int64_t stagnation;    /* return once fails reaches this */
+    int64_t max_actions;   /* return once M reaches this */
+    double current_length; /* closed length of c->current */
+    double seconds;        /* return once this much time has passed */
+    int64_t count;         /* out: vertex count of the candidate in c->seq */
+    double length;         /* out: closed length of the candidate in c->order */
+} kopt_run_state;
+
+/* what tsplab._kopt checks its ctypes mirrors against */
+const int64_t kopt_sizeof_ctx = sizeof(kopt_ctx);
+const int64_t kopt_sizeof_run = sizeof(kopt_run_state);
+
+/* kopt_run's events, mirrored by tsplab._kopt */
+enum { KOPT_CANDIDATE = 1, KOPT_STAGNATION = 2, KOPT_CAP = 3, KOPT_TIME = 4 };
+
+static double seconds_since(const struct timespec *t0)
+{
+    struct timespec t;
+
+    clock_gettime(CLOCK_MONOTONIC, &t);
+    return (double)(t.tv_sec - t0->tv_sec) + 1e-9 * (double)(t.tv_nsec - t0->tv_nsec);
+}
+
+/* Samples until one of four events and returns it:
+ *  - KOPT_CANDIDATE: an action whose incremental length beats
+ *    r->current_length; it is left in c->seq and c->order, not counted as a
+ *    fail, and the caller re-measures it and accepts or rejects it;
+ *  - KOPT_STAGNATION: r->fails reached r->stagnation;
+ *  - KOPT_CAP: r->M reached r->max_actions (checked before each sample);
+ *  - KOPT_TIME: r->seconds passed since entry (checked before each sample).
+ * Every other sample is a fail: a dead end, or an action no shorter than
+ * the working tour.  The clock is the kernel's own, so it need not agree
+ * with the caller's. */
+int64_t kopt_run(const kopt_ctx *c, bitgen_t *bg, kopt_run_state *r)
+{
+    struct timespec t0;
+
+    clock_gettime(CLOCK_MONOTONIC, &t0);
+    for (;;) {
+        int64_t count;
+        double length;
+
+        if (r->M >= r->max_actions)
+            return KOPT_CAP;
+        if (seconds_since(&t0) >= r->seconds)
+            return KOPT_TIME;
+        count = kopt_sample(c, bg, r->current_length, log((double)r->M + 1.0), &length);
+        if (count != 0) {
+            r->M++;
+            if (length < r->current_length) {
+                r->count = count;
+                r->length = length;
+                return KOPT_CANDIDATE;
+            }
+        }
+        if (++r->fails >= r->stagnation)
+            return KOPT_STAGNATION;
+    }
+}
+
+/* Row-major first pair (r, col) among rows r0..r1-1 and columns c0..c1-1
+ * with col >= r + 2, not (0, n-1), whose reversal shortens the tour by
+ * more than eps.  Returns 1 and stores the pair, or returns 0. */
+static int first_hit(const double *d, int64_t n, const int64_t *order, const double *edge,
+                     double eps, int64_t r0, int64_t r1, int64_t c0, int64_t c1,
+                     int64_t *hit_r, int64_t *hit_c)
+{
+    for (int64_t r = r0; r < r1; r++) {
+        const double *da = d + order[r] * n;
+        const double *db = d + order[r + 1] * n;
+        const double er = edge[r];
+        /* (0, n-1) would reverse the whole cycle */
+        const int64_t stop = r == 0 && c1 == n ? n - 1 : c1;
+
+        for (int64_t col = c0 > r + 2 ? c0 : r + 2; col < stop; col++) {
+            const int64_t next = order[col + 1 < n ? col + 1 : 0];
+            /* replace edges (r, r+1) and (col, col+1) with (r, col) and (r+1, col+1) */
+            if (((da[order[col]] + db[next]) - er) - edge[col] < -eps) {
+                *hit_r = r;
+                *hit_c = col;
+                return 1;
+            }
+        }
+    }
+    return 0;
+}
+
+/* First-improvement 2-opt on order[0..n), n >= 4, in place: the same moves
+ * as geometry._two_opt_order.  After move (i, j) no earlier pair improves
+ * and only pairs in rows >= i or columns i..j changed, so the next search
+ * checks rows below i over columns i..j, then scans on from row i.  edge
+ * is n doubles of scratch.  Stops once the tour is 2-optimal, or after the
+ * first move made once `seconds` have passed since entry. */
+void kopt_two_opt(const double *d, int64_t n, int64_t *order, double *edge, double eps,
+                  double seconds)
+{
+    struct timespec t0;
+    int64_t i = 0, j = 0;
+
+    clock_gettime(CLOCK_MONOTONIC, &t0);
+    for (int64_t t = 0; t < n; t++)
+        edge[t] = d[order[t] * n + order[t + 1 < n ? t + 1 : 0]];
+    for (;;) {
+        int64_t hi, hj;
+
+        if (!(i > 0 && first_hit(d, n, order, edge, eps, 0, i, i, j + 1, &hi, &hj))
+            && !first_hit(d, n, order, edge, eps, i, n - 2, i + 2, n, &hi, &hj))
+            return;
+        i = hi;
+        j = hj;
+        for (int64_t lo = i + 1, up = j; lo < up; lo++, up--) {
+            const int64_t tmp = order[lo];
+            order[lo] = order[up];
+            order[up] = tmp;
+        }
+        for (int64_t t = i; t <= j; t++)
+            edge[t] = d[order[t] * n + order[t + 1 < n ? t + 1 : 0]];
+        if (seconds_since(&t0) >= seconds)
+            return;
+    }
 }

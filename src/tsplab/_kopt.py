@@ -1,4 +1,4 @@
-"""Build and load the compiled k-opt sampler, ``_kopt.c``, through ctypes.
+"""Build and load the compiled search loop, ``_kopt.c``, through ctypes.
 
 The library is compiled on first use, never at import, into
 ``$XDG_CACHE_HOME/tsplab`` (default ``~/.cache/tsplab``), or into a private
@@ -7,9 +7,10 @@ hashes the source, the flags and the platform, so an edited source never
 loads a stale build.  Each build writes a temp file and moves it into place
 with ``os.replace``, so processes that build at once leave one whole library.
 
-When no compiler or writable directory exists, :func:`load` warns once per
-process and returns ``None``; the engine then runs the Python sampler, which
-draws the same numbers.
+When no compiler or writable directory exists, or the library's structs do
+not match their ctypes mirrors here, :func:`load` warns once per process and
+returns ``None``; the engine then runs its Python sampler and numpy 2-opt,
+which draw the same numbers and make the same moves.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -33,6 +35,10 @@ SOURCE = Path(__file__).with_name("_kopt.c")
 CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 
 _c_i64, _c_double, _c_void_p = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
+_I64_MAX = 2**63 - 1
+
+# the events kopt_run returns
+CANDIDATE, STAGNATION, CAP, TIME = 1, 2, 3, 4
 
 
 class _Context(ctypes.Structure):
@@ -50,7 +56,22 @@ class _Context(ctypes.Structure):
     ]
 
 
-# the kopt_sample function once loaded; False once loading failed here
+class _Run(ctypes.Structure):
+    """``kopt_run_state`` of ``_kopt.c``: the counters of one ``kopt_run`` call."""
+
+    _fields_ = [
+        ("M", _c_i64),
+        ("fails", _c_i64),
+        ("stagnation", _c_i64),
+        ("max_actions", _c_i64),
+        ("current_length", _c_double),
+        ("seconds", _c_double),
+        ("count", _c_i64),
+        ("length", _c_double),
+    ]
+
+
+# the library once loaded; False once loading failed here
 _kernel = None
 
 
@@ -97,6 +118,26 @@ def _build(target: Path) -> None:
             os.unlink(tmp)
 
 
+def _declare(lib) -> None:
+    lib.kopt_sample.argtypes = (_c_void_p, _c_void_p, _c_double, _c_double,
+                                ctypes.POINTER(_c_double))
+    lib.kopt_sample.restype = _c_i64
+    lib.kopt_run.argtypes = (_c_void_p, _c_void_p, ctypes.POINTER(_Run))
+    lib.kopt_run.restype = _c_i64
+    lib.kopt_two_opt.argtypes = (_c_void_p, _c_i64, _c_void_p, _c_void_p, _c_double, _c_double)
+    lib.kopt_two_opt.restype = None
+
+
+def _layout_error(lib) -> str | None:
+    """Why the library's structs differ from their ctypes mirrors, if they do."""
+    for name, symbol, mirror in (("kopt_ctx", "kopt_sizeof_ctx", _Context),
+                                 ("kopt_run_state", "kopt_sizeof_run", _Run)):
+        size = _c_i64.in_dll(lib, symbol).value
+        if size != ctypes.sizeof(mirror):
+            return f"{name} is {size} bytes in C but {ctypes.sizeof(mirror)} in its ctypes mirror"
+    return None
+
+
 def _open():
     name = library_name()
     errors = []
@@ -108,24 +149,28 @@ def _open():
                 _build(target)
             # PyDLL keeps the interpreter lock: the kernel writes into numpy
             # arrays and the generator's state
-            fn = ctypes.PyDLL(str(target)).kopt_sample
+            lib = ctypes.PyDLL(str(target))
         except OSError as e:
             errors.append(f"{d}: {e}")
             continue
-        fn.argtypes = (_c_void_p, _c_void_p, _c_double, _c_double, ctypes.POINTER(_c_double))
-        fn.restype = _c_i64
-        return fn
+        error = _layout_error(lib)
+        if error is None:
+            _declare(lib)
+            return lib
+        # every directory holds the same build
+        errors.append(f"{target}: {error}")
+        break
     warnings.warn(
-        "tsplab: the compiled k-opt sampler is unavailable, so the Python sampler "
-        f"runs instead (same output, slower): {'; '.join(errors)}",
+        "tsplab: the compiled search loop is unavailable, so the Python sampler and "
+        f"numpy 2-opt run instead (same output, slower): {'; '.join(errors)}",
         RuntimeWarning,
     )
     return False
 
 
 def load():
-    """The compiled ``kopt_sample``, building it if needed; ``None`` when it
-    cannot be built or loaded.  Tried once per process."""
+    """The compiled library, building it if needed; ``None`` when it cannot
+    be built or loaded.  Tried once per process."""
     global _kernel
     if _kernel is None:
         _kernel = _open()
@@ -138,18 +183,46 @@ def _address(a: np.ndarray, dtype, shape: tuple[int, ...]) -> int:
     return a.ctypes.data
 
 
+def two_opt(d: np.ndarray, order: np.ndarray, eps: float, deadline: float | None) -> bool:
+    """Run ``kopt_two_opt`` on ``order`` in place; ``False`` without the kernel.
+
+    ``order`` is a C-contiguous int64 permutation of at least 4 vertices and
+    ``d`` its distance matrix.  ``deadline`` is a ``time.perf_counter()``
+    value; the kernel gets what is left of it in seconds and times that on
+    its own clock.
+    """
+    lib = load()
+    if lib is None:
+        return False
+    n = order.shape[0]
+    d = np.ascontiguousarray(d, dtype=np.float64)
+    edge = np.empty(n)  # held here while the kernel writes to it
+    seconds = math.inf if deadline is None else deadline - time.perf_counter()
+    lib.kopt_two_opt(_address(d, np.float64, (n, n)), n, _address(order, np.int64, (n,)),
+                     edge.ctypes.data, eps, seconds)
+    return True
+
+
 def bind(state):
-    """``(sample, seq, length)`` for ``state``, or ``None`` without the kernel.
+    """``(sample, run, seq)`` for ``state``, or ``None`` without the kernel.
 
     ``sample(state, rng)`` draws one action from ``rng`` into the state's
-    buffers and ``Q``, and returns its vertex count in ``seq``, or 0 when
-    the anchor admits no extension.  ``length.value`` then holds the closed
-    length of ``state._scratch``.  The state's arrays must not be replaced
-    while ``sample`` lives: ``MctsState._set_current`` rewrites ``current``
-    in place for that reason.
+    buffers and ``Q``, and returns ``(count, length)``: the action's vertex
+    count in ``seq``, or 0 when the anchor admits no extension, and the
+    closed length of ``state._scratch``.  It leaves ``M`` to the caller.
+
+    ``run(state, rng, fails, stagnation, max_actions, seconds)`` samples
+    until an event (see ``kopt_run``) and returns ``(event, fails, count,
+    length)``, with ``count`` and ``length`` those of the candidate; it
+    counts its actions in ``state.M``.  ``max_actions`` of ``None`` means no
+    cap.
+
+    The state's arrays must not be replaced while these live:
+    ``MctsState._set_current`` rewrites ``current`` in place for that
+    reason.
     """
-    fn = load()
-    if fn is None:
+    lib = load()
+    if lib is None:
         return None
     n = state.n
     depth = state.params.max_depth
@@ -175,11 +248,30 @@ def bind(state):
     addr = ctypes.addressof(ctx)
     length = _c_double()
     out = ctypes.byref(length)
+    counters = _Run()
+    counters_ref = ctypes.byref(counters)
+    kopt_sample, kopt_run = lib.kopt_sample, lib.kopt_run
 
-    def sample(state, rng: np.random.Generator) -> int:
-        # the generator is read on every call: callers may pass a new one
-        return fn(addr, rng.bit_generator.ctypes.bit_generator, state.current_length,
-                  math.log(state.M + 1.0), out)
+    # the generator is read on every call: callers may pass a new one
+    def sample(state, rng: np.random.Generator) -> tuple[int, float]:
+        count = kopt_sample(addr, rng.bit_generator.ctypes.bit_generator,
+                            state.current_length, math.log(state.M + 1.0), out)
+        return count, length.value
 
-    sample.buffers = (ctx, scratch)  # the kernel holds their addresses
-    return sample, seq, length
+    def run(state, rng: np.random.Generator, fails: int, stagnation: int,
+            max_actions: int | None, seconds: float) -> tuple[int, int, int, float]:
+        r = counters
+        r.M = state.M
+        r.fails = fails
+        # ctypes would wrap larger ints; no count can reach 2**63 - 1
+        r.stagnation = min(stagnation, _I64_MAX)
+        r.max_actions = _I64_MAX if max_actions is None else min(max_actions, _I64_MAX)
+        r.current_length = state.current_length
+        r.seconds = seconds
+        event = kopt_run(addr, rng.bit_generator.ctypes.bit_generator, counters_ref)
+        state.M = r.M
+        return event, r.fails, r.count, r.length
+
+    # the kernel holds their addresses
+    sample.buffers = run.buffers = (ctx, scratch, counters)
+    return sample, run, seq

@@ -16,6 +16,8 @@ from hashlib import blake2b
 
 import numpy as np
 
+from . import _kopt
+
 _MASK64 = (1 << 64) - 1
 
 # A 2-opt reversal must beat this margin to count as an improvement; guards
@@ -150,10 +152,14 @@ def _two_opt_order(
 
     ``deadline`` is a ``time.perf_counter()`` value, checked once per
     applied move; once it has passed, the current order is returned as is.
+
+    The moves run compiled (``kopt_two_opt`` of ``_kopt.c``, the same
+    arithmetic in the same order); the numpy scan below runs when the
+    kernel cannot be built, and tests hold the kernel to it.
     """
     order = np.array(order, dtype=np.int64, copy=True)
     n = order.shape[0]
-    if n < 4:
+    if n < 4 or _kopt.two_opt(d, order, _IMPROVE_EPS, deadline):
         return order
     succ = np.roll(np.arange(n), -1)
     edge = d[order, order[succ]]

@@ -25,6 +25,12 @@ Improving actions feed back into ``W``: every edge the action added gains
 consecutive non-improving samples the working tour is rebuilt by chain-rule
 construction plus 2-opt; the best tour found, ``W``, ``Q`` and ``M`` all
 survive restarts.
+
+The sampling cycle and the 2-opt run compiled (``_kopt.c``, see
+:func:`_bind`); the Python forms here and in ``tsplab.geometry`` run when the
+kernel cannot be built, and tests hold the kernel to them.  The kernel is
+built and loaded by the first ``init_state`` (its 2-opt), never at import,
+so ``tsplab gen`` and ``tsplab heatmap`` never load it.
 """
 
 from __future__ import annotations
@@ -194,6 +200,7 @@ class MctsState:
     _cur_pos: np.ndarray = field(init=False, repr=False)
     _cand_lists: list[list[int]] = field(init=False, repr=False)
     _sample: Callable = field(init=False, repr=False)
+    _run: Callable = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         n = self.instance.n
@@ -204,7 +211,7 @@ class MctsState:
         self._scratch = np.empty(n, dtype=np.int64)
         self._cur_pos = np.empty(n, dtype=np.int64)
         self._cur_pos[self.current] = self._iota
-        self._sample = _bind_sampler
+        _bind(self)
 
     @property
     def n(self) -> int:
@@ -359,9 +366,9 @@ def _sample_action(
     tour (a scratch buffer overwritten by the next call) and ``length`` its
     closed length, or ``None`` when the anchor admits no extension at all.
 
-    Solves run the same steps compiled (``_kopt.c``, see
-    :func:`_bind_sampler`); this function runs when the kernel cannot be
-    built, and tests hold the kernel to it sample by sample.
+    Solves run the same steps compiled (``_kopt.c``, see :func:`_bind`);
+    this function runs when the kernel cannot be built, and tests hold the
+    kernel to it sample by sample.
 
     Each step looks at no more than ``k`` candidates, so it runs as scalar
     Python: numpy's per-call cost would exceed the work.  Only the O(n)
@@ -459,33 +466,72 @@ def _sample_action(
     return KoptAction(tuple(seq)), order, length
 
 
-def _bind_sampler(
-    state: MctsState, rng: np.random.Generator
-) -> tuple[KoptAction, np.ndarray, float] | None:
-    """A state's first sample: binds ``state._sample`` for good, then samples.
+def _run_python(
+    state: MctsState,
+    rng: np.random.Generator,
+    fails: int,
+    stagnation: int,
+    max_actions: int | None,
+    seconds: float,
+) -> tuple[int, int, tuple[KoptAction, np.ndarray, float] | None]:
+    """Sample until an event; returns ``(event, fails, candidate)``.
 
-    The sampler is the compiled kernel of ``_kopt.c``, or
-    :func:`_sample_action` when the kernel cannot be built.  Both return the
-    same values and leave ``M``, ``Q`` and ``rng`` in the same state, bit for
-    bit.  Binding on the first sample, not in ``init_state``, keeps a solve
-    that never samples from building or loading the kernel.
+    The events are those of ``kopt_run`` in ``_kopt.c``, which solves run
+    instead (see :func:`_bind`); this function runs when the kernel cannot
+    be built.  Before each sample it returns ``_kopt.CAP`` once ``state.M``
+    reaches ``max_actions`` (``None``: no cap), then ``_kopt.TIME`` once
+    ``seconds`` have passed since the call.  A sample whose incremental
+    length beats ``state.current_length`` returns ``_kopt.CANDIDATE`` with
+    the :func:`_sample_action` triple, uncounted; every other sample counts
+    a fail, and ``fails`` reaching ``stagnation`` returns
+    ``_kopt.STAGNATION``.
+    """
+    stop = time.perf_counter() + seconds
+    while True:
+        if max_actions is not None and state.M >= max_actions:
+            return _kopt.CAP, fails, None
+        if time.perf_counter() >= stop:
+            return _kopt.TIME, fails, None
+        res = _sample_action(state, rng)
+        if res is not None and res[2] < state.current_length:
+            return _kopt.CANDIDATE, fails, res
+        fails += 1
+        if fails >= stagnation:
+            return _kopt.STAGNATION, fails, None
+
+
+def _bind(state: MctsState) -> None:
+    """Binds ``state._sample`` and ``state._run`` for the state's life.
+
+    They are the compiled kernel of ``_kopt.c``, or :func:`_sample_action`
+    and :func:`_run_python` when the kernel cannot be built.  Both return
+    the same values and leave ``M``, ``Q`` and ``rng`` in the same state,
+    bit for bit.  Only building a search state loads the kernel (its 2-opt,
+    or else this binding), so ``tsplab gen`` and ``tsplab heatmap`` never
+    do.
     """
     bound = _kopt.bind(state)
     if bound is None:
-        state._sample = _sample_action
-    else:
-        kernel, seq, length = bound
-        order = state._scratch
+        state._sample, state._run = _sample_action, _run_python
+        return
+    kernel_sample, kernel_run, seq = bound
+    order = state._scratch
 
-        def sample(state: MctsState, rng: np.random.Generator):
-            count = kernel(state, rng)
-            if count == 0:
-                return None
-            state.M += 1
-            return KoptAction(tuple(seq[:count].tolist())), order, length.value
+    def candidate(count: int, length: float) -> tuple[KoptAction, np.ndarray, float]:
+        return KoptAction(tuple(seq[:count].tolist())), order, length
 
-        state._sample = sample
-    return state._sample(state, rng)
+    def sample(state: MctsState, rng: np.random.Generator):
+        count, length = kernel_sample(state, rng)
+        if count == 0:
+            return None
+        state.M += 1
+        return candidate(count, length)
+
+    def run(state: MctsState, rng: np.random.Generator, *limits):
+        event, fails, count, length = kernel_run(state, rng, *limits)
+        return event, fails, candidate(count, length) if event == _kopt.CANDIDATE else None
+
+    state._sample, state._run = sample, run
 
 
 def sample_kopt(state: MctsState, rng: np.random.Generator) -> KoptAction | None:
@@ -602,29 +648,29 @@ def mcts_solve(
                 ci += 1
         if now >= params.time_budget:
             break
-        if params.max_actions is not None and state.M >= params.max_actions:
+        # sample until a candidate, stagnation, the cap, or the next
+        # checkpoint or the budget, whichever comes first
+        horizon = cps[ci] if cps is not None and ci < len(cps) else params.time_budget
+        event, fails, res = state._run(
+            state, rng, fails, stagnation, params.max_actions, horizon - now
+        )
+        if event == _kopt.CAP:
             break
-
-        res = state._sample(state, rng)
-        accepted = False
-        if res is not None:
-            action, new_order, new_len = res
-            if new_len < state.current_length:
-                # re-measure exactly: incremental deltas carry rounding dust
-                exact = cycle_length(state.instance.points, new_order)
-                if exact < state.current_length:
-                    backpropagate(state, state.current_length, exact, action)
-                    state._set_current(new_order, exact)
-                    accepted = True
-        if accepted:
-            fails = 0
-        else:
-            fails += 1
-            if fails >= stagnation:
-                order = _two_opt_order(state.d, _construct_order(state, rng), deadline=deadline)
-                state._set_current(order, cycle_length(state.instance.points, order))
-                restarts += 1
+        if event == _kopt.CANDIDATE:
+            action, new_order, _ = res
+            # re-measure exactly: incremental deltas carry rounding dust
+            exact = cycle_length(state.instance.points, new_order)
+            if exact < state.current_length:
+                backpropagate(state, state.current_length, exact, action)
+                state._set_current(new_order, exact)
                 fails = 0
+                continue
+            fails += 1
+        if fails >= stagnation:
+            order = _two_opt_order(state.d, _construct_order(state, rng), deadline=deadline)
+            state._set_current(order, cycle_length(state.instance.points, order))
+            restarts += 1
+            fails = 0
 
     if cps is not None:
         while ci < len(cps):

@@ -9,12 +9,13 @@ import sys
 import tempfile
 import time
 import warnings
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tsplab import _kopt
+from tsplab import _kopt, mcts
 from tsplab.geometry import (
     Tour,
     TspInstance,
@@ -32,6 +33,7 @@ from tsplab.mcts import (
     KoptAction,
     MctsParams,
     _pick,
+    _run_python,
     _sample_action,
     apply_kopt,
     backpropagate,
@@ -651,6 +653,34 @@ def _step_both(py, c, rng_py, rng_c):
     return a
 
 
+_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK64, _MASK128 = (1 << 64) - 1, (1 << 128) - 1
+
+
+def _pcg64(word32: int, word64: int | None = None) -> np.random.Generator:
+    """A PCG64 generator whose next 32-bit word is ``word32`` and, when
+    given, whose 64-bit output after that is ``word64``."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    st = rng.bit_generator.state
+    # next_uint32 first hands out the buffered half of the last 64-bit output
+    st["has_uint32"], st["uinteger"] = 1, word32
+    if word64 is not None:
+        # a step multiplies and adds inc, then outputs rotr(hi ^ lo, hi >> 58)
+        # of the new state: fix hi, solve for lo, and undo the step
+        hi = 0x0123456789ABCDEF
+        rot = hi >> 58
+        x = ((word64 << rot) | (word64 >> (64 - rot))) & _MASK64
+        after = (hi << 64) | (x ^ hi)
+        inc = st["state"]["inc"]
+        st["state"]["state"] = ((after - inc) * pow(_PCG64_MULT, -1, 1 << 128)) & _MASK128
+    rng.bit_generator.state = st
+    if word64 is not None:
+        check = np.random.PCG64(0)
+        check.state = st
+        assert int(check.random_raw()) == word64
+    return rng
+
+
 # (heatmap, alpha, max_depth, a fresh generator per call)
 PARITY_CASES = [
     ("softdist", 1.0, 40, False),
@@ -677,6 +707,130 @@ class TestCompiledSampler:
                     rng_py, rng_c = rng_for(case, i, "parity"), rng_for(case, i, "parity")
                 _step_both(py, c, rng_py, rng_c)
             assert np.array_equal(py.W, c.W) and np.array_equal(py.current, c.current)
+
+    def test_draw_below_rejection_loop(self):
+        # a first word of 0 leaves 0 in the low half of word * n, below
+        # numpy's threshold 2**32 % n (96 for n = 100): the anchor draw is
+        # rejected and drawn again from the next word
+        _require_kernel()
+        probe = _pcg64(0)
+        probe.integers(100)
+        assert probe.bit_generator.state["has_uint32"] == 1  # a second word was drawn
+        py, c = _twin_states(100, 5, "softdist", 1.0, 10, seed=4)
+        rng_py, rng_c = _pcg64(0), _pcg64(0)
+        for _ in range(20):
+            _step_both(py, c, rng_py, rng_c)
+
+    def test_pick_on_a_cumulative_sum(self, monkeypatch):
+        # rng.random() * total lands exactly on a cumulative sum of the first
+        # pick: bisect_right, and so the kernel, take the next index
+        _require_kernel()
+        anchor_word = 123456789  # accepted at once: (word * 50) % 2**32 >= 50
+        seen = []
+        monkeypatch.setattr(mcts, "_pick", lambda z, rng: seen.append(z) or _pick(z, rng))
+        probe, _ = _twin_states(50, 5, "softdist", 1.0, 10, seed=5)
+        _sample_action(probe, _pcg64(anchor_word))
+        monkeypatch.undo()
+        cum = list(accumulate(seen[0]))
+        total = cum[-1]
+        hits = [
+            (k, m)
+            for m in range(len(cum) - 1)
+            for k in range(round(cum[m] / total * 2**53) - 4, round(cum[m] / total * 2**53) + 5)
+            if k / 2**53 * total == cum[m]
+        ]
+        assert hits, cum
+        k, m = hits[0]
+        assert _pick(seen[0], _pcg64(anchor_word, k << 11)) == m + 1
+        py, c = _twin_states(50, 5, "softdist", 1.0, 10, seed=5)
+        rng_py, rng_c = _pcg64(anchor_word, k << 11), _pcg64(anchor_word, k << 11)
+        for _ in range(20):
+            _step_both(py, c, rng_py, rng_c)
+
+    @pytest.mark.parametrize("case", range(len(PARITY_CASES)))
+    def test_run_parity_event_by_event(self, case):
+        # kopt_run against _run_python: same events, fails, candidates and
+        # counters, accepting candidates as a solve does
+        _require_kernel()
+        heatmap, alpha, depth, _ = PARITY_CASES[case]
+        py, c = _twin_states(60, 5, heatmap, alpha, depth, seed=case)
+        py._run = _run_python
+        rng_py, rng_c = rng_for(case, 0, "run"), rng_for(case, 0, "run")
+        fails, events = 0, []
+        while True:
+            a = py._run(py, rng_py, fails, 25, 600, math.inf)
+            b = c._run(c, rng_c, fails, 25, 600, math.inf)
+            assert c._run is not _run_python
+            assert a[:2] == b[:2]
+            assert (a[2] is None) == (b[2] is None)
+            assert py.M == c.M and np.array_equal(py.Q, c.Q)
+            assert _rng_state(rng_py) == _rng_state(rng_c)
+            event, fails, res = a
+            events.append(event)
+            if event == _kopt.CAP:
+                break
+            if event == _kopt.CANDIDATE:
+                assert a[2][0] == b[2][0] and repr(a[2][2]) == repr(b[2][2])
+                assert np.array_equal(a[2][1], b[2][1])
+                for state, (action, order, length) in ((py, a[2]), (c, b[2])):
+                    backpropagate(state, state.current_length, length, action)
+                    state._set_current(order, length)
+                fails = 0
+            elif event == _kopt.STAGNATION:
+                fails = 0
+        assert py.M == 600 and _kopt.STAGNATION in events
+        # depth-2 actions are 2-opt moves, which cannot improve the 2-opt start
+        assert (_kopt.CANDIDATE in events) == (depth > 2)
+
+    @pytest.mark.parametrize("compiled", [False, True], ids=["python", "compiled"])
+    def test_wall_budget_bounds_the_run(self, compiled, monkeypatch):
+        # README criterion 6 under the run loop: no cap, many restarts,
+        # checkpoints up to the budget.  A restart's construction is not
+        # bounded by the deadline, so the budget is long enough for 5% of it
+        # to cover one that starts just before the end.
+        if compiled:
+            _require_kernel()
+        else:
+            monkeypatch.setattr(_kopt, "_kernel", False)
+        inst = generate_instances(200, 1, seed=15)[0]
+        params = MctsParams(time_budget=1.0, seed=15, stagnation_limit=30)
+        cps = [0.1, 0.25, 0.5, 1.0]
+        result = mcts_solve(inst, softdist(inst, default_tau(200)), params, checkpoints=cps)
+        assert result.elapsed <= 1.05 * params.time_budget
+        assert [t for t, _ in result.trace] == cps
+        lengths = [length for _, length in result.trace]
+        assert all(b <= a for a, b in zip(lengths, lengths[1:]))
+        assert lengths[-1] == result.best_length
+        assert result.actions_sampled > 0 and result.restarts > 0
+
+    @pytest.mark.parametrize("mirror, struct", [("_Context", "kopt_ctx"), ("_Run", "kopt_run_state")])
+    def test_layout_mismatch_falls_back(self, mirror, struct, monkeypatch):
+        # a ctypes mirror that no longer matches its C struct is a failed
+        # load: one warning, then the Python path, same output
+        _require_kernel()
+
+        class Wider(ctypes.Structure):
+            _fields_ = [*getattr(_kopt, mirror)._fields_, ("extra", ctypes.c_int64)]
+
+        monkeypatch.setattr(_kopt, mirror, Wider)
+        monkeypatch.setattr(_kopt, "_kernel", None)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert _kopt.load() is None
+            assert _golden_solve("zeros") == GOLDEN["zeros"]
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert struct in str(caught[0].message)
+
+    def test_kernel_compiles_without_warnings(self, tmp_path):
+        cc = shutil.which("cc") or shutil.which("gcc")
+        if cc is None:
+            pytest.skip("no C compiler on PATH")
+        done = subprocess.run(
+            [cc, *_kopt.CFLAGS, "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "k.so"),
+             str(_kopt.SOURCE), "-lm"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
 
     def test_buffers_grow_with_max_depth(self):
         # max_depth has no upper bound: actions far longer than any fixed
