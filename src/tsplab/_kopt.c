@@ -1,8 +1,9 @@
-/* The compiled search loop of tsplab.mcts: one k-opt sample
- * (kopt_sample, the compiled form of mcts._sample_action), the sample ->
- * reject -> count-fails cycle of a solve (kopt_run, the compiled form of
- * mcts._run_python) and first-improvement 2-opt (kopt_two_opt, the compiled
- * form of geometry._two_opt_order's numpy scan).
+/* The compiled search loop of tsplab.mcts: the sample -> reject ->
+ * count-fails cycle of a solve (kopt_run, the compiled form of
+ * mcts._run_python, whose samples are those of mcts._sample_action) and
+ * first-improvement 2-opt (kopt_two_opt, the compiled form of
+ * geometry._two_opt_order's numpy scan).  mcts.sample_kopt is one kopt_run
+ * step.
  *
  * Every step mirrors the Python functions: the same candidates are tried in
  * the same order, each potential and each 2-opt delta is the same IEEE
@@ -29,7 +30,8 @@ typedef struct {
     uint64_t (*next_raw)(void *st);
 } bitgen_t;
 
-/* Pointers that stay fixed for the life of one MctsState.  Mirrored by
+/* What one MctsState shares with the kernel: the pointers fixed for its
+ * life, then the counters of a kopt_run call.  Mirrored by
  * tsplab._kopt._Context; keep the two in the same order. */
 typedef struct {
     int64_t n;
@@ -50,6 +52,14 @@ typedef struct {
     int64_t *added;         /* max_depth edge keys */
     int64_t *feasible;      /* kc */
     double *cum;            /* kc */
+    int64_t M;              /* actions sampled, in and out */
+    int64_t fails;          /* samples since the last accepted move, in and out */
+    int64_t stagnation;     /* return once fails reaches this */
+    int64_t max_actions;    /* return once M reaches this */
+    double current_length;  /* closed length of current */
+    double seconds;         /* return once this much time has passed */
+    int64_t count;          /* out: vertex count of the last sample in seq, 0 for none */
+    double length;          /* out: closed length of the last sample, the tour in order */
 } kopt_ctx;
 
 /* rng.integers(bound) for 0 < bound < 2**32: numpy's Lemire bounded draw */
@@ -111,10 +121,11 @@ static int64_t pick(double *cum, int64_t count, bitgen_t *bg)
     return lo < last ? lo : last;
 }
 
-/* Returns the length of the action in c->seq, or 0 when the anchor admits
- * no extension (then M and Q stay as they were).  *out_length receives the
- * closed length of the tour left in c->order. */
-int64_t kopt_sample(const kopt_ctx *c, bitgen_t *bg, double c0, double bonus, double *out_length)
+/* One sample, mcts._sample_action: returns the length of the action in
+ * c->seq, or 0 when the anchor admits no extension (then Q stays as it
+ * was).  c->length receives the closed length of the tour left in
+ * c->order.  M is left to the caller. */
+static int64_t kopt_sample(kopt_ctx *c, bitgen_t *bg)
 {
     const int64_t n = c->n;
     const double *d = c->d;
@@ -124,6 +135,8 @@ int64_t kopt_sample(const kopt_ctx *c, bitgen_t *bg, double c0, double bonus, do
     const double n1 = (double)(n - 1);
     const int64_t a1 = draw_below(bg, n);
     const int64_t i0 = c->cur_pos[a1];
+    const double c0 = c->current_length;
+    const double bonus = log((double)c->M + 1.0);
     int64_t b, k = 1, nd = 1, na = 0, len = 2;
     double length = c0;
 
@@ -198,26 +211,12 @@ int64_t kopt_sample(const kopt_ctx *c, bitgen_t *bg, double c0, double bonus, do
         c->Q[u * n + v] += 1;
         c->Q[v * n + u] += 1;
     }
-    *out_length = length;
+    c->length = length;
     return len;
 }
 
-/* Counters of one kopt_run call.  Mirrored by tsplab._kopt._Run; keep the
- * two in the same order. */
-typedef struct {
-    int64_t M;             /* actions sampled, in and out */
-    int64_t fails;         /* samples since the last accepted move, in and out */
-    int64_t stagnation;    /* return once fails reaches this */
-    int64_t max_actions;   /* return once M reaches this */
-    double current_length; /* closed length of c->current */
-    double seconds;        /* return once this much time has passed */
-    int64_t count;         /* out: vertex count of the candidate in c->seq */
-    double length;         /* out: closed length of the candidate in c->order */
-} kopt_run_state;
-
-/* what tsplab._kopt checks its ctypes mirrors against */
+/* what tsplab._kopt checks its ctypes mirror against */
 const int64_t kopt_sizeof_ctx = sizeof(kopt_ctx);
-const int64_t kopt_sizeof_run = sizeof(kopt_run_state);
 
 /* kopt_run's events, mirrored by tsplab._kopt */
 enum { KOPT_CANDIDATE = 1, KOPT_STAGNATION = 2, KOPT_CAP = 3, KOPT_TIME = 4 };
@@ -232,37 +231,34 @@ static double seconds_since(const struct timespec *t0)
 
 /* Samples until one of four events and returns it:
  *  - KOPT_CANDIDATE: an action whose incremental length beats
- *    r->current_length; it is left in c->seq and c->order, not counted as a
- *    fail, and the caller re-measures it and accepts or rejects it;
- *  - KOPT_STAGNATION: r->fails reached r->stagnation;
- *  - KOPT_CAP: r->M reached r->max_actions (checked before each sample);
- *  - KOPT_TIME: r->seconds passed since entry (checked before each sample).
+ *    c->current_length; it is not counted as a fail, and the caller
+ *    re-measures it and accepts or rejects it;
+ *  - KOPT_STAGNATION: c->fails reached c->stagnation;
+ *  - KOPT_CAP: c->M reached c->max_actions (checked before each sample);
+ *  - KOPT_TIME: c->seconds passed since entry (checked before each sample).
  * Every other sample is a fail: a dead end, or an action no shorter than
- * the working tour.  The clock is the kernel's own, so it need not agree
- * with the caller's. */
-int64_t kopt_run(const kopt_ctx *c, bitgen_t *bg, kopt_run_state *r)
+ * the working tour.  On every event c->count, c->length, c->seq and
+ * c->order hold the last sample of the call; c->count is 0 when the call
+ * drew none or its last was a dead end.  The clock is the kernel's own, so
+ * it need not agree with the caller's. */
+int64_t kopt_run(kopt_ctx *c, bitgen_t *bg)
 {
     struct timespec t0;
 
     clock_gettime(CLOCK_MONOTONIC, &t0);
+    c->count = 0;
     for (;;) {
-        int64_t count;
-        double length;
-
-        if (r->M >= r->max_actions)
+        if (c->M >= c->max_actions)
             return KOPT_CAP;
-        if (seconds_since(&t0) >= r->seconds)
+        if (seconds_since(&t0) >= c->seconds)
             return KOPT_TIME;
-        count = kopt_sample(c, bg, r->current_length, log((double)r->M + 1.0), &length);
-        if (count != 0) {
-            r->M++;
-            if (length < r->current_length) {
-                r->count = count;
-                r->length = length;
+        c->count = kopt_sample(c, bg);
+        if (c->count != 0) {
+            c->M++;
+            if (c->length < c->current_length)
                 return KOPT_CANDIDATE;
-            }
         }
-        if (++r->fails >= r->stagnation)
+        if (++c->fails >= c->stagnation)
             return KOPT_STAGNATION;
     }
 }

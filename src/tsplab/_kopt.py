@@ -7,8 +7,10 @@ hashes the source, the flags and the platform, so an edited source never
 loads a stale build.  Each build writes a temp file and moves it into place
 with ``os.replace``, so processes that build at once leave one whole library.
 
-When no compiler or writable directory exists, or the library's structs do
-not match their ctypes mirrors here, :func:`load` warns once per process and
+The library exports ``kopt_run`` (the sampling cycle of a solve; one
+sample is one ``kopt_run`` step), ``kopt_two_opt`` and ``kopt_sizeof_ctx``.
+When no compiler or writable directory exists, or the library's struct does
+not match its ctypes mirror here, :func:`load` warns once per process and
 returns ``None``; the engine then runs its Python sampler and numpy 2-opt,
 which draw the same numbers and make the same moves.
 """
@@ -42,7 +44,8 @@ CANDIDATE, STAGNATION, CAP, TIME = 1, 2, 3, 4
 
 
 class _Context(ctypes.Structure):
-    """``kopt_ctx`` of ``_kopt.c``: the pointers fixed for one ``MctsState``."""
+    """``kopt_ctx`` of ``_kopt.c``: the pointers fixed for one ``MctsState``,
+    then the counters of a ``kopt_run`` call."""
 
     _fields_ = [
         ("n", _c_i64),
@@ -53,13 +56,6 @@ class _Context(ctypes.Structure):
             "d", "W", "Q", "row_sums", "cand", "current", "cur_pos", "order", "pos",
             "seq", "deleted", "added", "feasible", "cum",
         )),
-    ]
-
-
-class _Run(ctypes.Structure):
-    """``kopt_run_state`` of ``_kopt.c``: the counters of one ``kopt_run`` call."""
-
-    _fields_ = [
         ("M", _c_i64),
         ("fails", _c_i64),
         ("stagnation", _c_i64),
@@ -119,22 +115,17 @@ def _build(target: Path) -> None:
 
 
 def _declare(lib) -> None:
-    lib.kopt_sample.argtypes = (_c_void_p, _c_void_p, _c_double, _c_double,
-                                ctypes.POINTER(_c_double))
-    lib.kopt_sample.restype = _c_i64
-    lib.kopt_run.argtypes = (_c_void_p, _c_void_p, ctypes.POINTER(_Run))
+    lib.kopt_run.argtypes = (_c_void_p, _c_void_p)
     lib.kopt_run.restype = _c_i64
     lib.kopt_two_opt.argtypes = (_c_void_p, _c_i64, _c_void_p, _c_void_p, _c_double, _c_double)
     lib.kopt_two_opt.restype = None
 
 
 def _layout_error(lib) -> str | None:
-    """Why the library's structs differ from their ctypes mirrors, if they do."""
-    for name, symbol, mirror in (("kopt_ctx", "kopt_sizeof_ctx", _Context),
-                                 ("kopt_run_state", "kopt_sizeof_run", _Run)):
-        size = _c_i64.in_dll(lib, symbol).value
-        if size != ctypes.sizeof(mirror):
-            return f"{name} is {size} bytes in C but {ctypes.sizeof(mirror)} in its ctypes mirror"
+    """Why the library's struct differs from its ctypes mirror, if it does."""
+    size = _c_i64.in_dll(lib, "kopt_sizeof_ctx").value
+    if size != ctypes.sizeof(_Context):
+        return f"kopt_ctx is {size} bytes in C but {ctypes.sizeof(_Context)} in its ctypes mirror"
     return None
 
 
@@ -204,20 +195,17 @@ def two_opt(d: np.ndarray, order: np.ndarray, eps: float, deadline: float | None
 
 
 def bind(state):
-    """``(sample, run, seq)`` for ``state``, or ``None`` without the kernel.
-
-    ``sample(state, rng)`` draws one action from ``rng`` into the state's
-    buffers and ``Q``, and returns ``(count, length)``: the action's vertex
-    count in ``seq``, or 0 when the anchor admits no extension, and the
-    closed length of ``state._scratch``.  It leaves ``M`` to the caller.
+    """``(run, seq)`` for ``state``, or ``None`` without the kernel.
 
     ``run(state, rng, fails, stagnation, max_actions, seconds)`` samples
     until an event (see ``kopt_run``) and returns ``(event, fails, count,
-    length)``, with ``count`` and ``length`` those of the candidate; it
+    length)``, with ``count`` and ``length`` those of the last sample of the
+    call: its vertex count in ``seq``, or 0 when the call drew none or its
+    last was a dead end, and the closed length of ``state._scratch``.  It
     counts its actions in ``state.M``.  ``max_actions`` of ``None`` means no
     cap.
 
-    The state's arrays must not be replaced while these live:
+    The state's arrays must not be replaced while ``run`` lives:
     ``MctsState._set_current`` rewrites ``current`` in place for that
     reason.
     """
@@ -246,32 +234,22 @@ def bind(state):
         *(a.ctypes.data for a in scratch),
     )
     addr = ctypes.addressof(ctx)
-    length = _c_double()
-    out = ctypes.byref(length)
-    counters = _Run()
-    counters_ref = ctypes.byref(counters)
-    kopt_sample, kopt_run = lib.kopt_sample, lib.kopt_run
+    kopt_run = lib.kopt_run
 
     # the generator is read on every call: callers may pass a new one
-    def sample(state, rng: np.random.Generator) -> tuple[int, float]:
-        count = kopt_sample(addr, rng.bit_generator.ctypes.bit_generator,
-                            state.current_length, math.log(state.M + 1.0), out)
-        return count, length.value
-
     def run(state, rng: np.random.Generator, fails: int, stagnation: int,
             max_actions: int | None, seconds: float) -> tuple[int, int, int, float]:
-        r = counters
-        r.M = state.M
-        r.fails = fails
+        ctx.M = state.M
+        ctx.fails = fails
         # ctypes would wrap larger ints; no count can reach 2**63 - 1
-        r.stagnation = min(stagnation, _I64_MAX)
-        r.max_actions = _I64_MAX if max_actions is None else min(max_actions, _I64_MAX)
-        r.current_length = state.current_length
-        r.seconds = seconds
-        event = kopt_run(addr, rng.bit_generator.ctypes.bit_generator, counters_ref)
-        state.M = r.M
-        return event, r.fails, r.count, r.length
+        ctx.stagnation = min(stagnation, _I64_MAX)
+        ctx.max_actions = _I64_MAX if max_actions is None else min(max_actions, _I64_MAX)
+        ctx.current_length = state.current_length
+        ctx.seconds = seconds
+        event = kopt_run(addr, rng.bit_generator.ctypes.bit_generator)
+        state.M = ctx.M
+        return event, ctx.fails, ctx.count, ctx.length
 
-    # the kernel holds their addresses
-    sample.buffers = run.buffers = (ctx, scratch, counters)
-    return sample, run, seq
+    # the kernel holds their addresses; run itself holds ctx
+    run.buffers = scratch
+    return run, seq

@@ -75,6 +75,8 @@ def cmd_gen(args: argparse.Namespace) -> int:
 def cmd_heatmap(args: argparse.Namespace) -> int:
     if args.method == "softdist" and args.tau is None:
         return _usage("--tau is required with --method softdist")
+    if args.method != "softdist" and args.tau is not None:
+        return _usage(f"--tau is only meaningful with --method softdist, not {args.method}")
     pairs = parse_instances(args.infile)
     out = args.out if len(pairs) == 1 else f"{Path(args.out)}/"  # a batch goes to a directory
     files = [heatmap_file(out, iid) for iid in instance_ids(len(pairs))]
@@ -99,10 +101,11 @@ def _solve_spec(args: argparse.Namespace, inst) -> MctsRunSpec:
         max_depth=args.depth,
         max_actions=args.max_actions,
     )
-    tau = None
-    if args.method == "softdist":
-        tau = args.tau if args.tau is not None else default_tau(inst.n)
-    # cmd_solve has refused --heatmap with any method but external
+    tau = args.tau
+    if args.method == "softdist" and tau is None:
+        tau = default_tau(inst.n)
+    # cmd_solve has refused --heatmap with any method but external, and
+    # MctsRunSpec refuses --tau with any method but softdist
     return MctsRunSpec(method=args.method, params=params, tau=tau, heatmap_path=args.heatmap)
 
 

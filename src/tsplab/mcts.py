@@ -27,10 +27,11 @@ construction plus 2-opt; the best tour found, ``W``, ``Q`` and ``M`` all
 survive restarts.
 
 The sampling cycle and the 2-opt run compiled (``_kopt.c``, see
-:func:`_bind`); the Python forms here and in ``tsplab.geometry`` run when the
-kernel cannot be built, and tests hold the kernel to them.  The kernel is
-built and loaded by the first ``init_state`` (its 2-opt), never at import,
-so ``tsplab gen`` and ``tsplab heatmap`` never load it.
+:func:`_bind`), and :func:`sample_kopt` is one step of that cycle; the
+Python forms here and in ``tsplab.geometry`` run when the kernel cannot be
+built, and tests hold the kernel to them.  The kernel is built and loaded
+by the first ``init_state`` (its 2-opt), never at import, so ``tsplab gen``
+and ``tsplab heatmap`` never load it.
 """
 
 from __future__ import annotations
@@ -175,11 +176,11 @@ class SolveResult:
 class MctsState:
     """Mutable engine state.
 
-    ``current``/``best`` are raw permutation arrays managed by the engine;
-    use :meth:`current_tour` for a checked view.  ``current`` is one buffer
-    for the state's life, rewritten in place by :meth:`_set_current`, and
-    ``W``, ``Q`` and ``d`` are never replaced: the compiled sampler holds
-    their addresses.  ``Q`` is kept symmetric by construction.
+    ``current``/``best`` are raw permutation arrays managed by the engine.
+    ``current`` is one buffer for the state's life, rewritten in place by
+    :meth:`_set_current`, and ``W``, ``Q`` and ``d`` are never replaced: the
+    compiled sampler holds their addresses.  ``Q`` is kept symmetric by
+    construction.
     """
 
     instance: TspInstance
@@ -199,7 +200,6 @@ class MctsState:
     _scratch: np.ndarray = field(init=False, repr=False)
     _cur_pos: np.ndarray = field(init=False, repr=False)
     _cand_lists: list[list[int]] = field(init=False, repr=False)
-    _sample: Callable = field(init=False, repr=False)
     _run: Callable = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -216,9 +216,6 @@ class MctsState:
     @property
     def n(self) -> int:
         return self.instance.n
-
-    def current_tour(self) -> Tour:
-        return Tour(self.current.copy())
 
     def _set_current(self, order: np.ndarray, length: float) -> None:
         self.current[:] = order
@@ -367,8 +364,8 @@ def _sample_action(
     closed length, or ``None`` when the anchor admits no extension at all.
 
     Solves run the same steps compiled (``_kopt.c``, see :func:`_bind`);
-    this function runs when the kernel cannot be built, and tests hold the
-    kernel to it sample by sample.
+    this function runs, through :func:`_run_python`, when the kernel cannot
+    be built, and tests hold the kernel to it sample by sample.
 
     Each step looks at no more than ``k`` candidates, so it runs as scalar
     Python: numpy's per-call cost would exceed the work.  Only the O(n)
@@ -474,64 +471,56 @@ def _run_python(
     max_actions: int | None,
     seconds: float,
 ) -> tuple[int, int, tuple[KoptAction, np.ndarray, float] | None]:
-    """Sample until an event; returns ``(event, fails, candidate)``.
+    """Sample until an event; returns ``(event, fails, sample)``.
 
     The events are those of ``kopt_run`` in ``_kopt.c``, which solves run
     instead (see :func:`_bind`); this function runs when the kernel cannot
     be built.  Before each sample it returns ``_kopt.CAP`` once ``state.M``
     reaches ``max_actions`` (``None``: no cap), then ``_kopt.TIME`` once
     ``seconds`` have passed since the call.  A sample whose incremental
-    length beats ``state.current_length`` returns ``_kopt.CANDIDATE`` with
-    the :func:`_sample_action` triple, uncounted; every other sample counts
-    a fail, and ``fails`` reaching ``stagnation`` returns
-    ``_kopt.STAGNATION``.
+    length beats ``state.current_length`` returns ``_kopt.CANDIDATE``,
+    uncounted; every other sample counts a fail, and ``fails`` reaching
+    ``stagnation`` returns ``_kopt.STAGNATION``.  ``sample`` is the
+    :func:`_sample_action` result of the call's last sample, ``None`` when
+    the call drew none or its last was a dead end.
     """
     stop = time.perf_counter() + seconds
+    res = None
     while True:
         if max_actions is not None and state.M >= max_actions:
-            return _kopt.CAP, fails, None
+            return _kopt.CAP, fails, res
         if time.perf_counter() >= stop:
-            return _kopt.TIME, fails, None
+            return _kopt.TIME, fails, res
         res = _sample_action(state, rng)
         if res is not None and res[2] < state.current_length:
             return _kopt.CANDIDATE, fails, res
         fails += 1
         if fails >= stagnation:
-            return _kopt.STAGNATION, fails, None
+            return _kopt.STAGNATION, fails, res
 
 
 def _bind(state: MctsState) -> None:
-    """Binds ``state._sample`` and ``state._run`` for the state's life.
+    """Binds ``state._run`` for the state's life.
 
-    They are the compiled kernel of ``_kopt.c``, or :func:`_sample_action`
-    and :func:`_run_python` when the kernel cannot be built.  Both return
-    the same values and leave ``M``, ``Q`` and ``rng`` in the same state,
-    bit for bit.  Only building a search state loads the kernel (its 2-opt,
-    or else this binding), so ``tsplab gen`` and ``tsplab heatmap`` never
-    do.
+    It is the compiled ``kopt_run`` of ``_kopt.c``, or :func:`_run_python`
+    when the kernel cannot be built.  Both return the same values and leave
+    ``M``, ``Q`` and ``rng`` in the same state, bit for bit.  Only building
+    a search state loads the kernel (its 2-opt, or else this binding), so
+    ``tsplab gen`` and ``tsplab heatmap`` never do.
     """
     bound = _kopt.bind(state)
     if bound is None:
-        state._sample, state._run = _sample_action, _run_python
+        state._run = _run_python
         return
-    kernel_sample, kernel_run, seq = bound
+    kernel_run, seq = bound
     order = state._scratch
-
-    def candidate(count: int, length: float) -> tuple[KoptAction, np.ndarray, float]:
-        return KoptAction(tuple(seq[:count].tolist())), order, length
-
-    def sample(state: MctsState, rng: np.random.Generator):
-        count, length = kernel_sample(state, rng)
-        if count == 0:
-            return None
-        state.M += 1
-        return candidate(count, length)
 
     def run(state: MctsState, rng: np.random.Generator, *limits):
         event, fails, count, length = kernel_run(state, rng, *limits)
-        return event, fails, candidate(count, length) if event == _kopt.CANDIDATE else None
+        sample = (KoptAction(tuple(seq[:count].tolist())), order, length) if count else None
+        return event, fails, sample
 
-    state._sample, state._run = sample, run
+    state._run = run
 
 
 def sample_kopt(state: MctsState, rng: np.random.Generator) -> KoptAction | None:
@@ -540,10 +529,11 @@ def sample_kopt(state: MctsState, rng: np.random.Generator) -> KoptAction | None
     Counts the attempt in ``M`` and the chosen edges in ``Q``.  Returns
     ``None`` when the drawn anchor has no feasible continuation (then
     nothing is counted).  The action may or may not improve the tour; the
-    caller decides acceptance.
+    caller decides acceptance.  This is one step of the solve's sampling
+    cycle: stagnation after one sample, no cap and no time limit.
     """
-    res = state._sample(state, rng)
-    return None if res is None else res[0]
+    _, _, sample = state._run(state, rng, 0, 1, None, math.inf)
+    return None if sample is None else sample[0]
 
 
 def apply_kopt(instance: TspInstance, tour: Tour, action: KoptAction) -> Tour:

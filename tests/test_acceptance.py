@@ -236,7 +236,7 @@ def test_criterion_7_engine_formula_units():
             inst, softdist(inst, 0.05), MctsParams(time_budget=1.0, seed=seed)
         )
         rng = rng_for(seed, 1, "acceptance-actions")
-        base = state.current_tour()
+        base = Tour(state.current.copy())
         base_len = tour_length(inst, base)
         for _ in range(40):
             action = sample_kopt(state, rng)

@@ -146,6 +146,16 @@ class TestHeatmapCmd:
         assert code == 2
         assert "usage error" in capsys.readouterr().err
 
+    def test_zeros_refuses_tau(self, tmp_path, capsys):
+        # zeros has no temperature: a --tau would be ignored yet recorded
+        src = _gen(tmp_path, count=1)
+        out = tmp_path / "z.hmap"
+        code = main(["heatmap", "--in", str(src), "--method", "zeros", "--tau", "0.5",
+                     "--out", str(out)])
+        assert code == 2
+        assert "usage error: --tau" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSolveCmd:
     def test_writes_lengths_csv(self, tmp_path, capsys):
@@ -231,6 +241,23 @@ class TestSolveCmd:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {maps / '1.hmap'}: heatmap row 2 ")
         assert "instance 0" not in captured.out
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["zeros", "external"])
+    def test_tau_only_with_softdist(self, tmp_path, capsys, monkeypatch, source):
+        # a --tau the run would ignore fails before any solve and writes nothing
+        src = _gen(tmp_path, count=1)
+        h = tmp_path / "h.hmap"
+        write_heatmap(h, softdist(parse_instances(src)[0][0], 0.05))
+        flags = ["--method", "zeros"] if source == "zeros" else ["--heatmap", str(h)]
+        out = tmp_path / "lens.csv"
+        monkeypatch.setattr(cli, "run_single", _no_solve)
+        capsys.readouterr()
+        assert main(["solve", "--in", str(src), *flags, "--tau", "0.5", "--budget", "0.05",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: tau is only meaningful for softdist, not {source!r}\n"
+        )
         assert not out.exists()
 
     def test_default_budget_with_action_cap(self, tmp_path, capsys):

@@ -385,7 +385,7 @@ class TestApplyKopt:
             d = distance_matrix(inst)
             state = _state(instance=inst, heatmap=softdist(inst, 0.05), seed=seed)
             rng = rng_for(seed, 2, "a")
-            base = state.current_tour()
+            base = Tour(state.current.copy())
             base_len = tour_length(inst, base)
             for _ in range(60):
                 action = sample_kopt(state, rng)
@@ -587,21 +587,18 @@ def _golden_case(name: str):
     return inst, h, dict(seed=8, max_depth=2, max_actions=2000, stagnation_limit=200)
 
 
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_golden_capped_output(name):
-    inst, h, kw = _golden_case(name)
-    result = mcts_solve(inst, h, MctsParams(time_budget=600.0, **kw))
-    digest = hashlib.sha256(np.asarray(result.best.order, dtype=np.int64).tobytes())
-    got = (result.best_length, digest.hexdigest()[:16], result.actions_sampled, result.restarts)
-    assert repr(got[0]) == repr(GOLDEN[name][0])
-    assert got == GOLDEN[name]
-
-
 def _golden_solve(name: str) -> tuple:
     inst, h, kw = _golden_case(name)
     result = mcts_solve(inst, h, MctsParams(time_budget=600.0, **kw))
     digest = hashlib.sha256(np.asarray(result.best.order, dtype=np.int64).tobytes())
     return result.best_length, digest.hexdigest()[:16], result.actions_sampled, result.restarts
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_capped_output(name):
+    got = _golden_solve(name)
+    assert repr(got[0]) == repr(GOLDEN[name][0])
+    assert got == GOLDEN[name]
 
 
 def _require_kernel():
@@ -616,7 +613,7 @@ def _subprocess_env(tmp_path) -> dict:
 
 
 def _twin_states(n, k, heatmap, alpha, max_depth, seed=0):
-    """Two equal states, the first on the Python sampler, the second on the kernel."""
+    """Two equal states, the first on the Python run loop, the second on the kernel."""
     inst = generate_instances(n, 1, seed=seed)[0]
     h = {
         "softdist": lambda: softdist(inst, default_tau(n)),
@@ -625,7 +622,7 @@ def _twin_states(n, k, heatmap, alpha, max_depth, seed=0):
     }[heatmap]()
     params = MctsParams(time_budget=1.0, seed=seed, alpha=alpha, k=k, max_depth=max_depth)
     py, c = init_state(inst, h, params), init_state(inst, h, params)
-    py._sample = _sample_action
+    py._run = _run_python
     return py, c
 
 
@@ -633,24 +630,37 @@ def _rng_state(rng) -> str:
     return json.dumps(rng.bit_generator.state, default=np.ndarray.tolist)
 
 
+def _same_report(a, b):
+    """Two ``_run`` results report the same event, fails and last sample."""
+    assert a[:2] == b[:2]
+    assert (a[2] is None) == (b[2] is None)
+    if a[2] is not None:
+        assert a[2][0] == b[2][0]
+        assert np.array_equal(a[2][1], b[2][1])
+        assert repr(a[2][2]) == repr(b[2][2])
+
+
+def _accept(py, c, a, b):
+    """Accept a candidate on both states as a solve does, so W, the row sums
+    and the tour move."""
+    for state, (action, order, length) in ((py, a[2]), (c, b[2])):
+        backpropagate(state, state.current_length, length, action)
+        state._set_current(order, length)
+
+
 def _step_both(py, c, rng_py, rng_c):
-    """One sample on each state; both must return and leave the same."""
-    a, b = py._sample(py, rng_py), c._sample(c, rng_c)
-    assert c._sample is not _sample_action
-    assert (a is None) == (b is None)
-    if a is not None:
-        assert a[0] == b[0]
-        assert np.array_equal(a[1], b[1])
-        assert repr(a[2]) == repr(b[2])
+    """One ``_run`` step on each state, the call ``sample_kopt`` makes; both
+    must return and leave the same.  Returns the Python sample."""
+    a = py._run(py, rng_py, 0, 1, None, math.inf)
+    b = c._run(c, rng_c, 0, 1, None, math.inf)
+    assert c._run is not _run_python
+    _same_report(a, b)
     assert py.M == c.M
     assert np.array_equal(py.Q, c.Q)
     assert _rng_state(rng_py) == _rng_state(rng_c)
-    # accept improvements as a solve does, so W, the row sums and the tour move
-    if a is not None and a[2] < py.current_length:
-        for state, (action, order, length) in ((py, a), (c, b)):
-            backpropagate(state, state.current_length, length, action)
-            state._set_current(order, length)
-    return a
+    if a[0] == _kopt.CANDIDATE:
+        _accept(py, c, a, b)
+    return a[2]
 
 
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
@@ -749,32 +759,26 @@ class TestCompiledSampler:
 
     @pytest.mark.parametrize("case", range(len(PARITY_CASES)))
     def test_run_parity_event_by_event(self, case):
-        # kopt_run against _run_python: same events, fails, candidates and
-        # counters, accepting candidates as a solve does
+        # kopt_run against _run_python: same events, fails, last samples and
+        # counters on every event, accepting candidates as a solve does
         _require_kernel()
         heatmap, alpha, depth, _ = PARITY_CASES[case]
         py, c = _twin_states(60, 5, heatmap, alpha, depth, seed=case)
-        py._run = _run_python
         rng_py, rng_c = rng_for(case, 0, "run"), rng_for(case, 0, "run")
         fails, events = 0, []
         while True:
             a = py._run(py, rng_py, fails, 25, 600, math.inf)
             b = c._run(c, rng_c, fails, 25, 600, math.inf)
             assert c._run is not _run_python
-            assert a[:2] == b[:2]
-            assert (a[2] is None) == (b[2] is None)
+            _same_report(a, b)
             assert py.M == c.M and np.array_equal(py.Q, c.Q)
             assert _rng_state(rng_py) == _rng_state(rng_c)
-            event, fails, res = a
+            event, fails, _ = a
             events.append(event)
             if event == _kopt.CAP:
                 break
             if event == _kopt.CANDIDATE:
-                assert a[2][0] == b[2][0] and repr(a[2][2]) == repr(b[2][2])
-                assert np.array_equal(a[2][1], b[2][1])
-                for state, (action, order, length) in ((py, a[2]), (c, b[2])):
-                    backpropagate(state, state.current_length, length, action)
-                    state._set_current(order, length)
+                _accept(py, c, a, b)
                 fails = 0
             elif event == _kopt.STAGNATION:
                 fails = 0
@@ -803,23 +807,22 @@ class TestCompiledSampler:
         assert lengths[-1] == result.best_length
         assert result.actions_sampled > 0 and result.restarts > 0
 
-    @pytest.mark.parametrize("mirror, struct", [("_Context", "kopt_ctx"), ("_Run", "kopt_run_state")])
-    def test_layout_mismatch_falls_back(self, mirror, struct, monkeypatch):
+    def test_layout_mismatch_falls_back(self, monkeypatch):
         # a ctypes mirror that no longer matches its C struct is a failed
         # load: one warning, then the Python path, same output
         _require_kernel()
 
         class Wider(ctypes.Structure):
-            _fields_ = [*getattr(_kopt, mirror)._fields_, ("extra", ctypes.c_int64)]
+            _fields_ = [*_kopt._Context._fields_, ("extra", ctypes.c_int64)]
 
-        monkeypatch.setattr(_kopt, mirror, Wider)
+        monkeypatch.setattr(_kopt, "_Context", Wider)
         monkeypatch.setattr(_kopt, "_kernel", None)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             assert _kopt.load() is None
             assert _golden_solve("zeros") == GOLDEN["zeros"]
         assert [w.category for w in caught] == [RuntimeWarning]
-        assert struct in str(caught[0].message)
+        assert "kopt_ctx" in str(caught[0].message)
 
     def test_kernel_compiles_without_warnings(self, tmp_path):
         cc = shutil.which("cc") or shutil.which("gcc")
@@ -902,4 +905,7 @@ class TestCompiledSampler:
         assert [p.returncode for p in procs] == [0, 0], errors
         cache = tmp_path / "cache" / "tsplab"
         assert [p.name for p in cache.iterdir()] == [_kopt.library_name()]
-        ctypes.CDLL(str(cache / _kopt.library_name())).kopt_sample
+        lib = ctypes.CDLL(str(cache / _kopt.library_name()))
+        # one sampler entry point and one struct cross the boundary
+        assert all(hasattr(lib, name) for name in ("kopt_run", "kopt_two_opt", "kopt_sizeof_ctx"))
+        assert not hasattr(lib, "kopt_sample") and not hasattr(lib, "kopt_sizeof_run")
