@@ -1,17 +1,17 @@
-/* The compiled search loop of tsplab.mcts: the sample -> reject ->
- * count-fails cycle of a solve (kopt_run, the compiled form of
- * mcts._run_python, whose samples are those of mcts._sample_action) and
- * first-improvement 2-opt (kopt_two_opt, the compiled form of
- * geometry._two_opt_order's numpy scan).  mcts.sample_kopt is one kopt_run
- * step.
+/* The search loop of tsplab.mcts, its only implementation: the sample ->
+ * reject -> count-fails cycle of a solve (kopt_run; mcts.sample_kopt is one
+ * kopt_run step) and first-improvement 2-opt (kopt_two_opt, run by
+ * geometry._two_opt_order).
  *
- * Every step mirrors the Python functions: the same candidates are tried in
- * the same order, each potential and each 2-opt delta is the same IEEE
- * double arithmetic in the same order (build with -ffp-contract=off, so no
- * step is fused), and each draw comes from the solve's own numpy generator
- * through its bit generator, exactly as rng.integers and rng.random draw.
- * So the same seed gives the same action, tour, length, counts and
- * generator state, bit for bit.
+ * Python forms of both live in the tests as oracles: the sampler and run
+ * loop in tests/test_mcts.py, a dense 2-opt rescan in tests/test_geometry.py.
+ * Every step mirrors them: the same candidates are tried in the same order,
+ * each potential and each 2-opt delta is the same IEEE double arithmetic in
+ * the same order (build with -ffp-contract=off, so no step is fused), and
+ * each draw comes from the solve's own numpy generator through its bit
+ * generator, exactly as rng.integers and rng.random draw.  So the same seed
+ * gives the same action, tour, length, counts and generator state, bit for
+ * bit.
  */
 
 /* clock_gettime and CLOCK_MONOTONIC under a strict -std */
@@ -121,7 +121,7 @@ static int64_t pick(double *cum, int64_t count, bitgen_t *bg)
     return lo < last ? lo : last;
 }
 
-/* One sample, mcts._sample_action: returns the length of the action in
+/* One sample: returns the length of the action in
  * c->seq, or 0 when the anchor admits no extension (then Q stays as it
  * was).  c->length receives the closed length of the tour left in
  * c->order.  M is left to the caller. */
@@ -290,8 +290,8 @@ static int first_hit(const double *d, int64_t n, const int64_t *order, const dou
     return 0;
 }
 
-/* First-improvement 2-opt on order[0..n), n >= 4, in place: the same moves
- * as geometry._two_opt_order.  After move (i, j) no earlier pair improves
+/* First-improvement 2-opt on order[0..n), n >= 4, in place: the moves a
+ * full rescan after each move would make.  After move (i, j) no earlier pair improves
  * and only pairs in rows >= i or columns i..j changed, so the next search
  * checks rows below i over columns i..j, then scans on from row i.  edge
  * is n doubles of scratch.  Stops once the tour is 2-optimal, or after the

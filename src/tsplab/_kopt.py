@@ -9,10 +9,9 @@ with ``os.replace``, so processes that build at once leave one whole library.
 
 The library exports ``kopt_run`` (the sampling cycle of a solve; one
 sample is one ``kopt_run`` step), ``kopt_two_opt`` and ``kopt_sizeof_ctx``.
-When no compiler or writable directory exists, or the library's struct does
-not match its ctypes mirror here, :func:`load` warns once per process and
-returns ``None``; the engine then runs its Python sampler and numpy 2-opt,
-which draw the same numbers and make the same moves.
+It is the engine's only search loop: when no compiler or writable directory
+exists, or the library's struct does not match its ctypes mirror here,
+:func:`load` raises ``OSError`` naming what failed in each directory tried.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ import subprocess
 import sys
 import tempfile
 import time
-import warnings
 from pathlib import Path
 
 import numpy as np
@@ -67,7 +65,7 @@ class _Context(ctypes.Structure):
     ]
 
 
-# the library once loaded; False once loading failed here
+# the library once loaded
 _kernel = None
 
 
@@ -151,21 +149,16 @@ def _open():
         # every directory holds the same build
         errors.append(f"{target}: {error}")
         break
-    warnings.warn(
-        "tsplab: the compiled search loop is unavailable, so the Python sampler and "
-        f"numpy 2-opt run instead (same output, slower): {'; '.join(errors)}",
-        RuntimeWarning,
-    )
-    return False
+    raise OSError(f"cannot build or load the compiled search loop: {'; '.join(errors)}")
 
 
 def load():
-    """The compiled library, building it if needed; ``None`` when it cannot
-    be built or loaded.  Tried once per process."""
+    """The compiled library, building it if needed.  Raises ``OSError`` when
+    it cannot be built or loaded; a later call tries again."""
     global _kernel
     if _kernel is None:
         _kernel = _open()
-    return _kernel or None
+    return _kernel
 
 
 def _address(a: np.ndarray, dtype, shape: tuple[int, ...]) -> int:
@@ -174,8 +167,8 @@ def _address(a: np.ndarray, dtype, shape: tuple[int, ...]) -> int:
     return a.ctypes.data
 
 
-def two_opt(d: np.ndarray, order: np.ndarray, eps: float, deadline: float | None) -> bool:
-    """Run ``kopt_two_opt`` on ``order`` in place; ``False`` without the kernel.
+def two_opt(d: np.ndarray, order: np.ndarray, eps: float, deadline: float | None) -> None:
+    """Run ``kopt_two_opt`` on ``order`` in place.
 
     ``order`` is a C-contiguous int64 permutation of at least 4 vertices and
     ``d`` its distance matrix.  ``deadline`` is a ``time.perf_counter()``
@@ -183,19 +176,16 @@ def two_opt(d: np.ndarray, order: np.ndarray, eps: float, deadline: float | None
     its own clock.
     """
     lib = load()
-    if lib is None:
-        return False
     n = order.shape[0]
     d = np.ascontiguousarray(d, dtype=np.float64)
     edge = np.empty(n)  # held here while the kernel writes to it
     seconds = math.inf if deadline is None else deadline - time.perf_counter()
     lib.kopt_two_opt(_address(d, np.float64, (n, n)), n, _address(order, np.int64, (n,)),
                      edge.ctypes.data, eps, seconds)
-    return True
 
 
 def bind(state):
-    """``(run, seq)`` for ``state``, or ``None`` without the kernel.
+    """``(run, seq)`` for ``state``.
 
     ``run(state, rng, fails, stagnation, max_actions, seconds)`` samples
     until an event (see ``kopt_run``) and returns ``(event, fails, count,
@@ -210,8 +200,6 @@ def bind(state):
     reason.
     """
     lib = load()
-    if lib is None:
-        return None
     n = state.n
     depth = state.params.max_depth
     kc = state.candidates.shape[1]

@@ -10,7 +10,6 @@ on how many other streams were drawn before it.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
 from hashlib import blake2b
 
@@ -138,64 +137,21 @@ def cycle_length(points: np.ndarray, order: np.ndarray) -> float:
 def _two_opt_order(
     d: np.ndarray, order: np.ndarray, *, deadline: float | None = None
 ) -> np.ndarray:
-    """First-improvement 2-opt on a vertex order.
+    """First-improvement 2-opt on a vertex order, run by ``kopt_two_opt`` of
+    ``_kopt.c``.
 
     Applies, one at a time, the lexicographically first improving reversal
     pair (i, j) -- reversing positions i+1..j -- until none is left.  The
-    scan is incremental and exact.  When move (i*, j*) is applied, no
-    earlier pair improves, and the reversal changes the delta only of pairs
-    whose row is at least i* or whose column lies in [i*, j*].  So the next
-    search first checks rows below i* over columns i*..j* as one block, and
-    only if that finds nothing scans rows forward from i* in chunks that
-    double in size, stopping at the first hit.  Every move, and so the
-    result, is the one a full rescan after each move would pick.
+    kernel's scan is incremental, yet every move, and so the result, is the
+    one a full rescan after each move would pick.
 
     ``deadline`` is a ``time.perf_counter()`` value, checked once per
     applied move; once it has passed, the current order is returned as is.
-
-    The moves run compiled (``kopt_two_opt`` of ``_kopt.c``, the same
-    arithmetic in the same order); the numpy scan below runs when the
-    kernel cannot be built, and tests hold the kernel to it.
     """
     order = np.array(order, dtype=np.int64, copy=True)
-    n = order.shape[0]
-    if n < 4 or _kopt.two_opt(d, order, _IMPROVE_EPS, deadline):
-        return order
-    succ = np.roll(np.arange(n), -1)
-    edge = d[order, order[succ]]
-
-    def first_hit(r0: int, r1: int, c0: int, c1: int) -> tuple[int, int] | None:
-        # row-major first improving pair among rows r0..r1-1, columns
-        # c0..c1-1; j >= i + 2 and not (0, n-1), which reverses the cycle
-        oi, oi1 = order[r0:r1, None], order[succ[r0:r1], None]
-        oj, oj1 = order[c0:c1], order[succ[c0:c1]]
-        # delta of replacing edges (i, i+1) and (j, j+1) with (i, j), (i+1, j+1)
-        delta = d[oi, oj] + d[oi1, oj1] - edge[r0:r1, None] - edge[c0:c1]
-        hits = delta < -_IMPROVE_EPS
-        hits &= np.arange(c0, c1) >= np.arange(r0 + 2, r1 + 2)[:, None]
-        if r0 == 0 and c1 == n:
-            hits[0, -1] = False
-        flat = int(np.argmax(hits))
-        if not hits.flat[flat]:
-            return None
-        i, j = divmod(flat, c1 - c0)
-        return r0 + i, c0 + j
-
-    i = j = 0
-    while True:
-        hit = first_hit(0, i, i, j + 1) if i > 0 else None
-        start, size = i, 1
-        while hit is None and start < n - 2:
-            stop = min(start + size, n - 2)
-            hit = first_hit(start, stop, start + 2, n)
-            start, size = stop, 2 * size
-        if hit is None:
-            return order
-        i, j = hit
-        order[i + 1 : j + 1] = order[i + 1 : j + 1][::-1]
-        edge[i : j + 1] = d[order[i : j + 1], order[succ[i : j + 1]]]
-        if deadline is not None and time.perf_counter() >= deadline:
-            return order
+    if order.shape[0] >= 4:
+        _kopt.two_opt(d, order, _IMPROVE_EPS, deadline)
+    return order
 
 
 def two_opt(instance: TspInstance, tour: Tour) -> Tour:

@@ -27,11 +27,11 @@ construction plus 2-opt; the best tour found, ``W``, ``Q`` and ``M`` all
 survive restarts.
 
 The sampling cycle and the 2-opt run compiled (``_kopt.c``, see
-:func:`_bind`), and :func:`sample_kopt` is one step of that cycle; the
-Python forms here and in ``tsplab.geometry`` run when the kernel cannot be
-built, and tests hold the kernel to them.  The kernel is built and loaded
-by the first ``init_state`` (its 2-opt), never at import, so ``tsplab gen``
-and ``tsplab heatmap`` never load it.
+:func:`_bind`), and :func:`sample_kopt` is one step of that cycle.  Python
+keeps the restart construction, the exact re-measure of each candidate and
+``backpropagate``.  The kernel is built and loaded by the first solve or
+``init_state``, never at import, so ``tsplab gen`` and ``tsplab heatmap``
+never load it; a host that cannot build it gets ``OSError`` there.
 """
 
 from __future__ import annotations
@@ -354,165 +354,11 @@ def construct_tour(state: MctsState, rng: np.random.Generator) -> Tour:
     return Tour(_construct_order(state, rng))
 
 
-def _sample_action(
-    state: MctsState, rng: np.random.Generator
-) -> tuple[KoptAction, np.ndarray, float] | None:
-    """Sample one k-opt action; updates ``M`` and ``Q``.
-
-    Returns ``(action, order, length)`` where ``order`` is the resulting
-    tour (a scratch buffer overwritten by the next call) and ``length`` its
-    closed length, or ``None`` when the anchor admits no extension at all.
-
-    Solves run the same steps compiled (``_kopt.c``, see :func:`_bind`);
-    this function runs, through :func:`_run_python`, when the kernel cannot
-    be built, and tests hold the kernel to it sample by sample.
-
-    Each step looks at no more than ``k`` candidates, so it runs as scalar
-    Python: numpy's per-call cost would exceed the work.  Only the O(n)
-    rotation, segment reversal and ``pos`` update stay as numpy slices.  The
-    draws equal, bit for bit, those of the array formulation (``np.cumsum``
-    and ``searchsorted`` over potential arrays):
-
-    - edges are keyed by the integer ``u * n + v`` with ``u < v``, one key
-      per unordered pair, so the same edges are excluded as with tuples;
-    - each potential is the same IEEE double arithmetic in the same order,
-      and ``_pick`` sums them left to right, exactly as ``np.cumsum`` does;
-    - each pick draws one ``rng.random()`` and bisects as
-      ``searchsorted(side="right")`` does, or draws one ``rng.integers`` on
-      a row whose total is zero or not finite.
-    """
-    n = state.n
-    order = state._scratch
-    pos = state._pos
-    cur = state.current
-
-    a1 = int(rng.integers(n))
-    i0 = state._cur_pos.item(a1)
-    m = n - i0
-    order[:m] = cur[i0:]
-    order[m:] = cur[:i0]
-    iota = state._iota
-    pos[order] = iota
-
-    pos_of = pos.item
-    at = order.item
-    dist = state.d.item
-    cand_lists = state._cand_lists
-    potentials = _scorer(state)
-    b = at(1)
-    c0 = state.current_length
-    length = c0
-    deleted = {a1 * n + b if a1 < b else b * n + a1}
-    added: set[int] = set()
-    seq = [a1, b]
-    max_depth = state.params.max_depth
-    k = 1
-
-    while True:
-        # Feasible extension targets c for the new edge (b, c):
-        #  - positions 0..2 are the anchor, b itself, and b's successor
-        #    (closing, a no-op chord, or an existing edge);
-        #  - the chord must not recreate a deleted edge;
-        #  - the edge (pred(c), c) deleted next must not be a chord we added.
-        feasible = []
-        for c in cand_lists[b]:
-            j = pos_of(c)
-            if j < 3:
-                continue
-            if (b * n + c if b < c else c * n + b) in deleted:
-                continue
-            if added:
-                p = at(j - 1)
-                if (p * n + c if p < c else c * n + p) in added:
-                    continue
-            feasible.append(c)
-        if not feasible:
-            # dead end: close with what we have, unless the closing edge
-            # (b, a1) would recreate a deleted edge (at k=1 it always would)
-            if k >= 2 and (a1 * n + b if a1 < b else b * n + a1) not in deleted:
-                break
-            return None
-        c = feasible[_pick(potentials(b, feasible), rng)]
-
-        j = pos_of(c)
-        bn = at(j - 1)
-        length += dist(a1, bn) + dist(b, c) - dist(a1, b) - dist(bn, c)
-        deleted.add(bn * n + c if bn < c else c * n + bn)
-        added.add(b * n + c if b < c else c * n + b)
-        seq.append(c)
-        seq.append(bn)
-        order[1:j] = order[1:j][::-1]
-        pos[order[1:j]] = iota[1:j]
-        b = bn
-        k += 1
-        # a reversal can bring b1 back next to the anchor, making the
-        # closing edge (b, a1) one we already deleted; then extend instead
-        closeable = (a1 * n + b if a1 < b else b * n + a1) not in deleted
-        if (length < c0 or k >= max_depth) and closeable:
-            break
-        if k >= max_depth:
-            return None
-
-    seq.append(a1)
-    Q = state.Q
-    for t in range(1, len(seq) - 1, 2):
-        u, v = seq[t], seq[t + 1]
-        Q[u, v] += 1
-        Q[v, u] += 1
-    state.M += 1
-    return KoptAction(tuple(seq)), order, length
-
-
-def _run_python(
-    state: MctsState,
-    rng: np.random.Generator,
-    fails: int,
-    stagnation: int,
-    max_actions: int | None,
-    seconds: float,
-) -> tuple[int, int, tuple[KoptAction, np.ndarray, float] | None]:
-    """Sample until an event; returns ``(event, fails, sample)``.
-
-    The events are those of ``kopt_run`` in ``_kopt.c``, which solves run
-    instead (see :func:`_bind`); this function runs when the kernel cannot
-    be built.  Before each sample it returns ``_kopt.CAP`` once ``state.M``
-    reaches ``max_actions`` (``None``: no cap), then ``_kopt.TIME`` once
-    ``seconds`` have passed since the call.  A sample whose incremental
-    length beats ``state.current_length`` returns ``_kopt.CANDIDATE``,
-    uncounted; every other sample counts a fail, and ``fails`` reaching
-    ``stagnation`` returns ``_kopt.STAGNATION``.  ``sample`` is the
-    :func:`_sample_action` result of the call's last sample, ``None`` when
-    the call drew none or its last was a dead end.
-    """
-    stop = time.perf_counter() + seconds
-    res = None
-    while True:
-        if max_actions is not None and state.M >= max_actions:
-            return _kopt.CAP, fails, res
-        if time.perf_counter() >= stop:
-            return _kopt.TIME, fails, res
-        res = _sample_action(state, rng)
-        if res is not None and res[2] < state.current_length:
-            return _kopt.CANDIDATE, fails, res
-        fails += 1
-        if fails >= stagnation:
-            return _kopt.STAGNATION, fails, res
-
-
 def _bind(state: MctsState) -> None:
-    """Binds ``state._run`` for the state's life.
-
-    It is the compiled ``kopt_run`` of ``_kopt.c``, or :func:`_run_python`
-    when the kernel cannot be built.  Both return the same values and leave
-    ``M``, ``Q`` and ``rng`` in the same state, bit for bit.  Only building
-    a search state loads the kernel (its 2-opt, or else this binding), so
-    ``tsplab gen`` and ``tsplab heatmap`` never do.
-    """
-    bound = _kopt.bind(state)
-    if bound is None:
-        state._run = _run_python
-        return
-    kernel_run, seq = bound
+    """Binds ``state._run`` for the state's life: ``kopt_run`` of ``_kopt.c``
+    (see ``_kopt.bind``), reporting the call's last sample as ``(action,
+    order, length)``, with ``order`` the scratch buffer, or ``None``."""
+    kernel_run, seq = _kopt.bind(state)
     order = state._scratch
 
     def run(state: MctsState, rng: np.random.Generator, *limits):
@@ -615,6 +461,8 @@ def mcts_solve(
     is non-increasing and ends at the returned best length.
     """
     cps = _validated_checkpoints(checkpoints, params.time_budget)
+    # the first solve of a process builds the kernel: not on the budget
+    _kopt.load()
     t0 = time.perf_counter()
     deadline = t0 + params.time_budget
     rng = _engine_rng(params)

@@ -532,6 +532,28 @@ class TestRuntimeErrors:
         assert main([argv[0], "--in", "empty.txt", *argv[1:]]) == 1
         assert capsys.readouterr().err == "error: empty.txt: no instances\n"
 
+    def test_missing_compiler(self, tmp_path):
+        # the kernel cannot be built: set-up commands still run, and a solve
+        # fails with one error line instead of a traceback
+        for d in ("bin", "cache", "tmp"):
+            (tmp_path / d).mkdir()
+        env = dict(os.environ, PATH=str(tmp_path / "bin"),
+                   PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]),
+                   XDG_CACHE_HOME=str(tmp_path / "cache"), TMPDIR=str(tmp_path / "tmp"))
+
+        def tsplab(*argv):
+            return subprocess.run([sys.executable, "-m", "tsplab.cli", *argv], env=env,
+                                  cwd=tmp_path, capture_output=True, text=True, timeout=120)
+
+        assert tsplab("gen", "--n", "8", "--count", "1", "--out", "i.txt").returncode == 0
+        assert tsplab("heatmap", "--in", "i.txt", "--method", "softdist", "--tau", "0.05",
+                      "--out", "h.hmap").returncode == 0
+        done = tsplab("solve", "--in", "i.txt", "--budget", "0.05")
+        assert done.returncode == 1
+        [line] = done.stderr.splitlines()
+        assert line.startswith("error: ") and "cc or gcc" in line
+        assert not list(tmp_path.rglob("*.so"))
+
 
 # Every deterministic artifact of one CLI session: sha256 (first 16 hex
 # digits) of each file the commands below leave behind, manifests included.

@@ -1,12 +1,10 @@
 import itertools
 import math
-import shutil
 import time
 
 import numpy as np
 import pytest
 
-from tsplab import _kopt
 from tsplab.geometry import (
     BRUTE_FORCE_MAX_N,
     Tour,
@@ -238,39 +236,22 @@ def _reference_two_opt_order(d: np.ndarray, order: np.ndarray) -> np.ndarray:
         order[i + 1 : j + 1] = order[i + 1 : j + 1][::-1]
 
 
-def _numpy_two_opt_order(d: np.ndarray, order: np.ndarray, **kw) -> np.ndarray:
-    # _two_opt_order with the kernel disabled: the numpy incremental scan
-    saved, _kopt._kernel = _kopt._kernel, False
-    try:
-        return _two_opt_order(d, order, **kw)
-    finally:
-        _kopt._kernel = saved
-
-
-def _compiled_two_opt_order(d: np.ndarray, order: np.ndarray, **kw) -> np.ndarray:
-    if shutil.which("cc") is None and shutil.which("gcc") is None:
-        pytest.skip("no C compiler on PATH: only the numpy 2-opt runs here")
-    assert _kopt.load() is not None
-    return _two_opt_order(d, order, **kw)
-
-
-def _three_way(d: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """The compiled 2-opt, the numpy scan and the dense oracle on one start;
-    all three must make the same moves."""
+def _two_way(d: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """The compiled 2-opt and the dense oracle on one start; both must make
+    the same moves."""
     want = _reference_two_opt_order(d, start)
-    assert np.array_equal(_numpy_two_opt_order(d, start), want)
-    assert np.array_equal(_compiled_two_opt_order(d, start), want)
+    assert np.array_equal(_two_opt_order(d, start), want)
     return want
 
 
 class TestTwoOptKernel:
-    """``kopt_two_opt`` of ``_kopt.c`` against the numpy scan and the oracle."""
+    """``kopt_two_opt`` of ``_kopt.c`` against the dense oracle."""
 
     @pytest.mark.parametrize("n", [*range(2, 14), 20, 33, 64, 100, 150, 300])
     def test_random_starts(self, n):
         for seed in range(6 if n <= 13 else 2):
             d = distance_matrix(generate_instances(n, 1, seed=seed)[0])
-            _three_way(d, rng_for(seed, n, "kernel").permutation(n))
+            _two_way(d, rng_for(seed, n, "kernel").permutation(n))
 
     @pytest.mark.parametrize("n", [5, 12, 40, 120])
     def test_duplicate_points(self, n):
@@ -278,13 +259,13 @@ class TestTwoOptKernel:
         for seed in range(3):
             pts = rng_for(seed, n, "dup").random((n // 2, 2))[np.arange(n) % (n // 2)]
             d = distance_matrix(_inst(pts))
-            _three_way(d, rng_for(seed, n, "dup-start").permutation(n))
+            _two_way(d, rng_for(seed, n, "dup-start").permutation(n))
 
     @pytest.mark.parametrize("n", [4, 9, 60, 200])
     def test_two_optimal_start_makes_no_move(self, n):
         d = distance_matrix(generate_instances(n, 1, seed=n)[0])
         polished = _reference_two_opt_order(d, rng_for(n, 0, "polished").permutation(n))
-        assert np.array_equal(_three_way(d, polished), polished)
+        assert np.array_equal(_two_way(d, polished), polished)
 
 
 class TestTwoOptExactness:
@@ -321,16 +302,14 @@ class TestTwoOptExactness:
         inst = generate_instances(60, 1, seed=3)[0]
         pts, d = inst.points, distance_matrix(inst)
         start = rng_for(3, 0, "deadline").permutation(60)
-        # the numpy scan, then the kernel where one builds
-        for two_opt_order in (_numpy_two_opt_order, _two_opt_order):
-            got = two_opt_order(d, start, deadline=time.perf_counter())
-            assert is_permutation(got, 60)
-            assert cycle_length(pts, got) < cycle_length(pts, start)
-            # exactly one reversal away from the start
-            changed = np.flatnonzero(got != start)
-            i, j = changed[0] - 1, changed[-1]
-            assert np.array_equal(got[i + 1 : j + 1], start[i + 1 : j + 1][::-1])
-            assert cycle_length(pts, got) > cycle_length(pts, two_opt_order(d, start))
+        got = _two_opt_order(d, start, deadline=time.perf_counter())
+        assert is_permutation(got, 60)
+        assert cycle_length(pts, got) < cycle_length(pts, start)
+        # exactly one reversal away from the start
+        changed = np.flatnonzero(got != start)
+        i, j = changed[0] - 1, changed[-1]
+        assert np.array_equal(got[i + 1 : j + 1], start[i + 1 : j + 1][::-1])
+        assert cycle_length(pts, got) > cycle_length(pts, _two_opt_order(d, start))
 
 
 class TestBruteForce:

@@ -8,7 +8,6 @@ import subprocess
 import sys
 import tempfile
 import time
-import warnings
 from itertools import accumulate
 from pathlib import Path
 
@@ -32,9 +31,9 @@ from tsplab.mcts import (
     InvalidActionError,
     KoptAction,
     MctsParams,
+    MctsState,
     _pick,
-    _run_python,
-    _sample_action,
+    _scorer,
     apply_kopt,
     backpropagate,
     construct_tour,
@@ -538,6 +537,15 @@ class TestMctsSolve:
         if n == 500:
             assert result.actions_sampled > 0
 
+    def test_budget_excludes_the_kernel_build(self, monkeypatch):
+        # the first solve of a process builds or loads the kernel before its clock starts
+        real = _kopt._open
+        monkeypatch.setattr(_kopt, "_open", lambda: time.sleep(0.3) or real())
+        monkeypatch.setattr(_kopt, "_kernel", None)
+        inst = generate_instances(50, 1, seed=16)[0]
+        result = mcts_solve(inst, softdist(inst, default_tau(50)), MctsParams(time_budget=0.1))
+        assert result.elapsed <= 0.105
+
     def test_restarts_on_stagnation(self):
         inst = generate_instances(20, 1, seed=12)[0]
         params = MctsParams(time_budget=0.4, seed=12, stagnation_limit=40)
@@ -601,10 +609,151 @@ def test_golden_capped_output(name):
     assert got == GOLDEN[name]
 
 
-def _require_kernel():
-    if shutil.which("cc") is None and shutil.which("gcc") is None:
-        pytest.skip("no C compiler on PATH: only the Python sampler runs here")
-    assert _kopt.load() is not None
+# The Python sampler and run loop: the oracles the compiled ones are held to.
+
+
+def _sample_action(
+    state: MctsState, rng: np.random.Generator
+) -> tuple[KoptAction, np.ndarray, float] | None:
+    """Sample one k-opt action; updates ``M`` and ``Q``.
+
+    Returns ``(action, order, length)`` where ``order`` is the resulting
+    tour (a scratch buffer overwritten by the next call) and ``length`` its
+    closed length, or ``None`` when the anchor admits no extension at all.
+
+    The oracle of ``kopt_sample`` in ``_kopt.c``: the tests below hold the
+    kernel to it sample by sample.
+
+    Each step looks at no more than ``k`` candidates, so it runs as scalar
+    Python: numpy's per-call cost would exceed the work.  Only the O(n)
+    rotation, segment reversal and ``pos`` update stay as numpy slices.  The
+    draws equal, bit for bit, those of the array formulation (``np.cumsum``
+    and ``searchsorted`` over potential arrays):
+
+    - edges are keyed by the integer ``u * n + v`` with ``u < v``, one key
+      per unordered pair, so the same edges are excluded as with tuples;
+    - each potential is the same IEEE double arithmetic in the same order,
+      and ``_pick`` sums them left to right, exactly as ``np.cumsum`` does;
+    - each pick draws one ``rng.random()`` and bisects as
+      ``searchsorted(side="right")`` does, or draws one ``rng.integers`` on
+      a row whose total is zero or not finite.
+    """
+    n = state.n
+    order = state._scratch
+    pos = state._pos
+    cur = state.current
+
+    a1 = int(rng.integers(n))
+    i0 = state._cur_pos.item(a1)
+    m = n - i0
+    order[:m] = cur[i0:]
+    order[m:] = cur[:i0]
+    iota = state._iota
+    pos[order] = iota
+
+    pos_of = pos.item
+    at = order.item
+    dist = state.d.item
+    cand_lists = state._cand_lists
+    potentials = _scorer(state)
+    b = at(1)
+    c0 = state.current_length
+    length = c0
+    deleted = {a1 * n + b if a1 < b else b * n + a1}
+    added: set[int] = set()
+    seq = [a1, b]
+    max_depth = state.params.max_depth
+    k = 1
+
+    while True:
+        # Feasible extension targets c for the new edge (b, c):
+        #  - positions 0..2 are the anchor, b itself, and b's successor
+        #    (closing, a no-op chord, or an existing edge);
+        #  - the chord must not recreate a deleted edge;
+        #  - the edge (pred(c), c) deleted next must not be a chord we added.
+        feasible = []
+        for c in cand_lists[b]:
+            j = pos_of(c)
+            if j < 3:
+                continue
+            if (b * n + c if b < c else c * n + b) in deleted:
+                continue
+            if added:
+                p = at(j - 1)
+                if (p * n + c if p < c else c * n + p) in added:
+                    continue
+            feasible.append(c)
+        if not feasible:
+            # dead end: close with what we have, unless the closing edge
+            # (b, a1) would recreate a deleted edge (at k=1 it always would)
+            if k >= 2 and (a1 * n + b if a1 < b else b * n + a1) not in deleted:
+                break
+            return None
+        c = feasible[_pick(potentials(b, feasible), rng)]
+
+        j = pos_of(c)
+        bn = at(j - 1)
+        length += dist(a1, bn) + dist(b, c) - dist(a1, b) - dist(bn, c)
+        deleted.add(bn * n + c if bn < c else c * n + bn)
+        added.add(b * n + c if b < c else c * n + b)
+        seq.append(c)
+        seq.append(bn)
+        order[1:j] = order[1:j][::-1]
+        pos[order[1:j]] = iota[1:j]
+        b = bn
+        k += 1
+        # a reversal can bring b1 back next to the anchor, making the
+        # closing edge (b, a1) one we already deleted; then extend instead
+        closeable = (a1 * n + b if a1 < b else b * n + a1) not in deleted
+        if (length < c0 or k >= max_depth) and closeable:
+            break
+        if k >= max_depth:
+            return None
+
+    seq.append(a1)
+    Q = state.Q
+    for t in range(1, len(seq) - 1, 2):
+        u, v = seq[t], seq[t + 1]
+        Q[u, v] += 1
+        Q[v, u] += 1
+    state.M += 1
+    return KoptAction(tuple(seq)), order, length
+
+
+def _run_python(
+    state: MctsState,
+    rng: np.random.Generator,
+    fails: int,
+    stagnation: int,
+    max_actions: int | None,
+    seconds: float,
+) -> tuple[int, int, tuple[KoptAction, np.ndarray, float] | None]:
+    """Sample until an event; returns ``(event, fails, sample)``.
+
+    The oracle of ``kopt_run`` in ``_kopt.c``, which solves run (see
+    ``mcts._bind``), with the same events.  Before each sample it returns
+    ``_kopt.CAP`` once ``state.M`` reaches ``max_actions`` (``None``: no
+    cap), then ``_kopt.TIME`` once ``seconds`` have passed since the call.
+    A sample whose incremental length beats ``state.current_length``
+    returns ``_kopt.CANDIDATE``, uncounted; every other sample counts a
+    fail, and ``fails`` reaching ``stagnation`` returns
+    ``_kopt.STAGNATION``.  ``sample`` is the :func:`_sample_action` result
+    of the call's last sample, ``None`` when the call drew none or its last
+    was a dead end.
+    """
+    stop = time.perf_counter() + seconds
+    res = None
+    while True:
+        if max_actions is not None and state.M >= max_actions:
+            return _kopt.CAP, fails, res
+        if time.perf_counter() >= stop:
+            return _kopt.TIME, fails, res
+        res = _sample_action(state, rng)
+        if res is not None and res[2] < state.current_length:
+            return _kopt.CANDIDATE, fails, res
+        fails += 1
+        if fails >= stagnation:
+            return _kopt.STAGNATION, fails, res
 
 
 def _subprocess_env(tmp_path) -> dict:
@@ -706,7 +855,6 @@ class TestCompiledSampler:
     @pytest.mark.parametrize("k", ["1", "5", "n-1"])
     @pytest.mark.parametrize("n", [4, 5, 7, 50, 100, 300])
     def test_parity_sample_by_sample(self, n, k):
-        _require_kernel()
         k = n - 1 if k == "n-1" else int(k)
         for case, (heatmap, alpha, depth, fresh) in enumerate(PARITY_CASES):
             py, c = _twin_states(n, k, heatmap, alpha, depth, seed=n + case)
@@ -722,7 +870,6 @@ class TestCompiledSampler:
         # a first word of 0 leaves 0 in the low half of word * n, below
         # numpy's threshold 2**32 % n (96 for n = 100): the anchor draw is
         # rejected and drawn again from the next word
-        _require_kernel()
         probe = _pcg64(0)
         probe.integers(100)
         assert probe.bit_generator.state["has_uint32"] == 1  # a second word was drawn
@@ -734,10 +881,10 @@ class TestCompiledSampler:
     def test_pick_on_a_cumulative_sum(self, monkeypatch):
         # rng.random() * total lands exactly on a cumulative sum of the first
         # pick: bisect_right, and so the kernel, take the next index
-        _require_kernel()
         anchor_word = 123456789  # accepted at once: (word * 50) % 2**32 >= 50
-        seen = []
-        monkeypatch.setattr(mcts, "_pick", lambda z, rng: seen.append(z) or _pick(z, rng))
+        seen, pick = [], _pick
+        # the oracle below draws through this module's _pick
+        monkeypatch.setitem(globals(), "_pick", lambda z, rng: seen.append(z) or pick(z, rng))
         probe, _ = _twin_states(50, 5, "softdist", 1.0, 10, seed=5)
         _sample_action(probe, _pcg64(anchor_word))
         monkeypatch.undo()
@@ -761,7 +908,6 @@ class TestCompiledSampler:
     def test_run_parity_event_by_event(self, case):
         # kopt_run against _run_python: same events, fails, last samples and
         # counters on every event, accepting candidates as a solve does
-        _require_kernel()
         heatmap, alpha, depth, _ = PARITY_CASES[case]
         py, c = _twin_states(60, 5, heatmap, alpha, depth, seed=case)
         rng_py, rng_c = rng_for(case, 0, "run"), rng_for(case, 0, "run")
@@ -786,16 +932,11 @@ class TestCompiledSampler:
         # depth-2 actions are 2-opt moves, which cannot improve the 2-opt start
         assert (_kopt.CANDIDATE in events) == (depth > 2)
 
-    @pytest.mark.parametrize("compiled", [False, True], ids=["python", "compiled"])
-    def test_wall_budget_bounds_the_run(self, compiled, monkeypatch):
+    def test_wall_budget_bounds_the_run(self):
         # README criterion 6 under the run loop: no cap, many restarts,
         # checkpoints up to the budget.  A restart's construction is not
         # bounded by the deadline, so the budget is long enough for 5% of it
         # to cover one that starts just before the end.
-        if compiled:
-            _require_kernel()
-        else:
-            monkeypatch.setattr(_kopt, "_kernel", False)
         inst = generate_instances(200, 1, seed=15)[0]
         params = MctsParams(time_budget=1.0, seed=15, stagnation_limit=30)
         cps = [0.1, 0.25, 0.5, 1.0]
@@ -807,38 +948,33 @@ class TestCompiledSampler:
         assert lengths[-1] == result.best_length
         assert result.actions_sampled > 0 and result.restarts > 0
 
-    def test_layout_mismatch_falls_back(self, monkeypatch):
-        # a ctypes mirror that no longer matches its C struct is a failed
-        # load: one warning, then the Python path, same output
-        _require_kernel()
+    def test_load_raises_on_a_layout_mismatch(self, monkeypatch):
+        # a ctypes mirror that no longer matches its C struct is a failed load
 
         class Wider(ctypes.Structure):
             _fields_ = [*_kopt._Context._fields_, ("extra", ctypes.c_int64)]
 
         monkeypatch.setattr(_kopt, "_Context", Wider)
         monkeypatch.setattr(_kopt, "_kernel", None)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert _kopt.load() is None
-            assert _golden_solve("zeros") == GOLDEN["zeros"]
-        assert [w.category for w in caught] == [RuntimeWarning]
-        assert "kopt_ctx" in str(caught[0].message)
+        with pytest.raises(OSError, match="kopt_ctx"):
+            _kopt.load()
+        with pytest.raises(OSError, match="kopt_ctx"):
+            _golden_solve("zeros")
 
     def test_kernel_compiles_without_warnings(self, tmp_path):
+        # with the build flags, and under strict ISO C99 as the header claims
         cc = shutil.which("cc") or shutil.which("gcc")
-        if cc is None:
-            pytest.skip("no C compiler on PATH")
-        done = subprocess.run(
-            [cc, *_kopt.CFLAGS, "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "k.so"),
-             str(_kopt.SOURCE), "-lm"],
-            capture_output=True, text=True, timeout=120,
-        )
-        assert done.returncode == 0, done.stderr
+        for flags in (_kopt.CFLAGS, (*_kopt.CFLAGS, "-std=c99", "-pedantic")):
+            done = subprocess.run(
+                [cc, *flags, "-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "k.so"),
+                 str(_kopt.SOURCE), "-lm"],
+                capture_output=True, text=True, timeout=120,
+            )
+            assert done.returncode == 0, (flags, done.stderr)
 
     def test_buffers_grow_with_max_depth(self):
         # max_depth has no upper bound: actions far longer than any fixed
         # C array must still match
-        _require_kernel()
         py, c = _twin_states(100, 99, "zeros", 1.0, 10**4, seed=3)
         rng_py, rng_c = rng_for(3, 0, "long"), rng_for(3, 0, "long")
         longest = max(
@@ -848,7 +984,6 @@ class TestCompiledSampler:
         assert longest >= 90
 
     def test_context_is_bound_once_per_state(self, monkeypatch):
-        _require_kernel()
         bound = []
         real = _kopt.bind
         monkeypatch.setattr(_kopt, "bind", lambda state: bound.append(state) or real(state))
@@ -860,42 +995,40 @@ class TestCompiledSampler:
     @pytest.mark.parametrize("compiled", [False, True], ids=["python", "compiled"])
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_golden_on_both_samplers(self, name, compiled, monkeypatch):
-        if compiled:
-            _require_kernel()
-        else:
-            monkeypatch.setattr(_kopt, "_kernel", False)
+        # python: whole solves with the oracle run loop bound in the kernel's place
+        if not compiled:
+            monkeypatch.setattr(mcts, "_bind", lambda s: setattr(s, "_run", _run_python))
         assert _golden_solve(name) == GOLDEN[name]
 
-    def test_falls_back_with_one_warning(self, tmp_path, monkeypatch):
-        # no compiler and an empty cache: the Python sampler runs, same output
+    def test_load_raises_without_a_compiler(self, tmp_path, monkeypatch):
+        # no compiler and an empty cache: the error names what failed in each
+        # directory tried, and nothing is left behind
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
         monkeypatch.setattr(shutil, "which", lambda name: None)
         monkeypatch.setattr(_kopt, "_kernel", None)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            for name in ("zeros", "depth2"):
-                assert _golden_solve(name) == GOLDEN[name]
-        assert [w.category for w in caught] == [RuntimeWarning]
-        assert "no C compiler" in str(caught[0].message)
+        with pytest.raises(OSError, match="no C compiler") as raised:
+            _kopt.load()
+        for d in _kopt._cache_dirs():
+            assert f"{d}: no C compiler (cc or gcc) on PATH" in str(raised.value)
+        with pytest.raises(OSError, match="no C compiler"):
+            _golden_solve("zeros")
         assert not list(tmp_path.rglob("*.so"))
 
     def test_loads_through_ctypes_without_cffi(self, tmp_path):
         # numpy stays the only dependency
-        _require_kernel()
         pyproject = Path(_kopt.__file__).resolve().parents[2] / "pyproject.toml"
         if pyproject.is_file():
             assert 'dependencies = ["numpy>=1.24"]\n' in pyproject.read_text()
         code = ("import sys; sys.modules['cffi'] = None\n"
-                "from tsplab import _kopt; assert _kopt.load() is not None")
+                "from tsplab import _kopt; _kopt.load()")
         done = subprocess.run([sys.executable, "-W", "error", "-c", code],
                               env=_subprocess_env(tmp_path), capture_output=True, text=True,
                               timeout=120)
         assert done.returncode == 0, done.stderr
 
     def test_concurrent_builds_leave_one_library(self, tmp_path):
-        _require_kernel()
-        code = "from tsplab import _kopt; assert _kopt.load() is not None"
+        code = "from tsplab import _kopt; _kopt.load()"
         procs = [
             subprocess.Popen([sys.executable, "-W", "error", "-c", code],
                              env=_subprocess_env(tmp_path), stderr=subprocess.PIPE, text=True)
