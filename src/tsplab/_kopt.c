@@ -1,17 +1,18 @@
 /* The search loop of tsplab.mcts, its only implementation: the sample ->
  * reject -> count-fails cycle of a solve (kopt_run; mcts.sample_kopt is one
- * kopt_run step) and first-improvement 2-opt (kopt_two_opt, run by
- * geometry._two_opt_order).
+ * kopt_run step), the restart tour (kopt_construct, run by
+ * mcts.construct_tour and each restart) and first-improvement 2-opt
+ * (kopt_two_opt, run by geometry._two_opt_order).
  *
- * Python forms of both live in the tests as oracles: the sampler and run
- * loop in tests/test_mcts.py, a dense 2-opt rescan in tests/test_geometry.py.
- * Every step mirrors them: the same candidates are tried in the same order,
- * each potential and each 2-opt delta is the same IEEE double arithmetic in
- * the same order (build with -ffp-contract=off, so no step is fused), and
- * each draw comes from the solve's own numpy generator through its bit
- * generator, exactly as rng.integers and rng.random draw.  So the same seed
- * gives the same action, tour, length, counts and generator state, bit for
- * bit.
+ * Python forms of all three live in the tests as oracles: the sampler, run
+ * loop and restart construction in tests/test_mcts.py, a dense 2-opt rescan
+ * in tests/test_geometry.py.  Every step mirrors them: the same candidates
+ * are tried in the same order, each potential and each 2-opt delta is the
+ * same IEEE double arithmetic in the same order (build with
+ * -ffp-contract=off, so no step is fused), and each draw comes from the
+ * solve's own numpy generator through its bit generator, exactly as
+ * rng.integers and rng.random draw.  So the same seed gives the same action,
+ * tour, length, counts and generator state, bit for bit.
  */
 
 /* clock_gettime and CLOCK_MONOTONIC under a strict -std */
@@ -52,7 +53,7 @@ typedef struct {
     int64_t *added;         /* max_depth edge keys */
     int64_t *feasible;      /* kc */
     double *cum;            /* kc */
-    int64_t M;              /* actions sampled, in and out */
+    int64_t M;              /* actions sampled, in and out; kopt_construct reads it */
     int64_t fails;          /* samples since the last accepted move, in and out */
     int64_t stagnation;     /* return once fails reaches this */
     int64_t max_actions;    /* return once M reaches this */
@@ -97,28 +98,38 @@ static int contains(const int64_t *keys, int64_t count, int64_t key)
     return 0;
 }
 
-/* mcts._pick over cum[0..count), which first holds the potentials */
-static int64_t pick(double *cum, int64_t count, bitgen_t *bg)
+/* The vertex drawn after v from c->feasible[0..count): each edge (v, u)
+ * weighted by its potential at log(M + 1) = bonus, summed left to right into
+ * c->cum, and the first sum greater than next_double() * total taken, as
+ * np.searchsorted(side="right") finds it; a uniform draw when the total is
+ * zero or not finite. */
+static int64_t pick(kopt_ctx *c, int64_t v, int64_t count, double bonus, bitgen_t *bg)
 {
+    const double om = c->row_sums[v] / (double)(c->n - 1);
     const int64_t last = count - 1;
+    double *cum = c->cum;
     double total;
     double r;
     int64_t lo = 0, hi = count;
 
-    for (int64_t i = 1; i < count; i++)
-        cum[i] = cum[i - 1] + cum[i];
+    for (int64_t i = 0; i < count; i++) {
+        const int64_t e = v * c->n + c->feasible[i];
+        cum[i] = c->W[e] / om + c->alpha * sqrt(bonus / ((double)c->Q[e] + 1.0));
+        if (i > 0)
+            cum[i] += cum[i - 1];
+    }
     total = cum[last];
     if (!isfinite(total) || total <= 0.0)
-        return draw_below(bg, count);
+        return c->feasible[draw_below(bg, count)];
     r = bg->next_double(bg->state) * total;
-    while (lo < hi) { /* bisect.bisect_right */
+    while (lo < hi) {
         const int64_t mid = (lo + hi) / 2;
         if (r < cum[mid])
             hi = mid;
         else
             lo = mid + 1;
     }
-    return lo < last ? lo : last;
+    return c->feasible[lo < last ? lo : last];
 }
 
 /* One sample: returns the length of the action in
@@ -132,7 +143,6 @@ static int64_t kopt_sample(kopt_ctx *c, bitgen_t *bg)
     int64_t *order = c->order;
     int64_t *pos = c->pos;
     int64_t *seq = c->seq;
-    const double n1 = (double)(n - 1);
     const int64_t a1 = draw_below(bg, n);
     const int64_t i0 = c->cur_pos[a1];
     const double c0 = c->current_length;
@@ -171,14 +181,7 @@ static int64_t kopt_sample(kopt_ctx *c, bitgen_t *bg)
                 break;
             return 0;
         }
-        {
-            const double om = c->row_sums[b] / n1;
-            for (int64_t i = 0; i < nf; i++) {
-                const int64_t e = b * n + c->feasible[i];
-                c->cum[i] = c->W[e] / om + c->alpha * sqrt(bonus / ((double)c->Q[e] + 1.0));
-            }
-        }
-        ch = c->feasible[pick(c->cum, nf, bg)];
+        ch = pick(c, b, nf, bonus, bg);
 
         j = pos[ch];
         bn = order[j - 1];
@@ -213,6 +216,45 @@ static int64_t kopt_sample(kopt_ctx *c, bitgen_t *bg)
     }
     c->length = length;
     return len;
+}
+
+/* A restart tour by the chain rule, into c->order: a uniform first vertex,
+ * then each next one drawn by pick among the unvisited candidates of the
+ * last, at c->M.  When none is left it hops to the nearest unvisited
+ * vertex, the first on a tie as np.argmin takes.  c->pos marks the visited
+ * vertices and ends as the position of each in c->order. */
+void kopt_construct(kopt_ctx *c, bitgen_t *bg)
+{
+    const int64_t n = c->n;
+    const double bonus = log((double)c->M + 1.0);
+    int64_t *order = c->order;
+    int64_t *pos = c->pos;
+    int64_t v = draw_below(bg, n);
+
+    for (int64_t u = 0; u < n; u++)
+        pos[u] = -1;
+    order[0] = v;
+    pos[v] = 0;
+    for (int64_t t = 1; t < n; t++) {
+        const int64_t *row = c->cand + v * c->kc;
+        int64_t nf = 0;
+
+        for (int64_t i = 0; i < c->kc; i++)
+            if (pos[row[i]] < 0)
+                c->feasible[nf++] = row[i];
+        if (nf > 0) {
+            v = pick(c, v, nf, bonus, bg);
+        } else {
+            const double *dv = c->d + v * n;
+            int64_t near = -1;
+            for (int64_t u = 0; u < n; u++)
+                if (pos[u] < 0 && (near < 0 || dv[u] < dv[near]))
+                    near = u;
+            v = near;
+        }
+        order[t] = v;
+        pos[v] = t;
+    }
 }
 
 /* what tsplab._kopt checks its ctypes mirror against */

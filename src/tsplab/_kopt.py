@@ -8,10 +8,11 @@ loads a stale build.  Each build writes a temp file and moves it into place
 with ``os.replace``, so processes that build at once leave one whole library.
 
 The library exports ``kopt_run`` (the sampling cycle of a solve; one
-sample is one ``kopt_run`` step), ``kopt_two_opt`` and ``kopt_sizeof_ctx``.
-It is the engine's only search loop: when no compiler or writable directory
-exists, or the library's struct does not match its ctypes mirror here,
-:func:`load` raises ``OSError`` naming what failed in each directory tried.
+sample is one ``kopt_run`` step), ``kopt_construct`` (the restart tour),
+``kopt_two_opt`` and ``kopt_sizeof_ctx``.  It is the engine's only search
+loop: when no compiler or writable directory exists, or the library's struct
+does not match its ctypes mirror here, :func:`load` raises ``OSError`` naming
+what failed in each directory tried.
 """
 
 from __future__ import annotations
@@ -115,6 +116,8 @@ def _build(target: Path) -> None:
 def _declare(lib) -> None:
     lib.kopt_run.argtypes = (_c_void_p, _c_void_p)
     lib.kopt_run.restype = _c_i64
+    lib.kopt_construct.argtypes = (_c_void_p, _c_void_p)
+    lib.kopt_construct.restype = None
     lib.kopt_two_opt.argtypes = (_c_void_p, _c_i64, _c_void_p, _c_void_p, _c_double, _c_double)
     lib.kopt_two_opt.restype = None
 
@@ -185,7 +188,7 @@ def two_opt(d: np.ndarray, order: np.ndarray, eps: float, deadline: float | None
 
 
 def bind(state):
-    """``(run, seq)`` for ``state``.
+    """``(run, construct, seq)`` for ``state``.
 
     ``run(state, rng, fails, stagnation, max_actions, seconds)`` samples
     until an event (see ``kopt_run``) and returns ``(event, fails, count,
@@ -195,17 +198,22 @@ def bind(state):
     counts its actions in ``state.M``.  ``max_actions`` of ``None`` means no
     cap.
 
+    ``construct(state, rng)`` builds a restart tour at ``state.M`` (see
+    ``kopt_construct``) and returns it in ``state._scratch``, which the
+    next ``run`` or ``construct`` overwrites.
+
     The state's arrays must not be replaced while ``run`` lives:
     ``MctsState._set_current`` rewrites ``current`` in place for that
     reason.
     """
     lib = load()
     n = state.n
-    depth = state.params.max_depth
+    # an action deletes distinct edges of the tour it starts from, so no
+    # more than n: a larger max_depth closes the same actions
+    depth = min(state.params.max_depth, n)
     kc = state.candidates.shape[1]
     i64, f64 = np.int64, np.float64
     seq = np.empty(2 * depth + 1, dtype=i64)
-    # the edge keys and the action grow with max_depth, which has no bound
     scratch = (seq, np.empty(depth, dtype=i64), np.empty(depth, dtype=i64),
                np.empty(kc, dtype=i64), np.empty(kc, dtype=f64))
     ctx = _Context(
@@ -222,7 +230,7 @@ def bind(state):
         *(a.ctypes.data for a in scratch),
     )
     addr = ctypes.addressof(ctx)
-    kopt_run = lib.kopt_run
+    kopt_run, kopt_construct = lib.kopt_run, lib.kopt_construct
 
     # the generator is read on every call: callers may pass a new one
     def run(state, rng: np.random.Generator, fails: int, stagnation: int,
@@ -238,6 +246,11 @@ def bind(state):
         state.M = ctx.M
         return event, ctx.fails, ctx.count, ctx.length
 
-    # the kernel holds their addresses; run itself holds ctx
-    run.buffers = scratch
-    return run, seq
+    def construct(state, rng: np.random.Generator) -> np.ndarray:
+        ctx.M = state.M
+        kopt_construct(addr, rng.bit_generator.ctypes.bit_generator)
+        return state._scratch
+
+    # the kernel holds their addresses; run and construct themselves hold ctx
+    run.buffers = construct.buffers = scratch
+    return run, construct, seq

@@ -26,9 +26,9 @@ consecutive non-improving samples the working tour is rebuilt by chain-rule
 construction plus 2-opt; the best tour found, ``W``, ``Q`` and ``M`` all
 survive restarts.
 
-The sampling cycle and the 2-opt run compiled (``_kopt.c``, see
-:func:`_bind`), and :func:`sample_kopt` is one step of that cycle.  Python
-keeps the restart construction, the exact re-measure of each candidate and
+The sampling cycle, the restart tour and the 2-opt run compiled
+(``_kopt.c``, see :func:`_bind`), and :func:`sample_kopt` is one step of
+that cycle.  Python keeps the exact re-measure of each candidate and
 ``backpropagate``.  The kernel is built and loaded by the first solve or
 ``init_state``, never at import, so ``tsplab gen`` and ``tsplab heatmap``
 never load it; a host that cannot build it gets ``OSError`` there.
@@ -38,10 +38,8 @@ from __future__ import annotations
 
 import math
 import time
-from bisect import bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from itertools import accumulate
 from numbers import Integral
 
 import numpy as np
@@ -199,12 +197,11 @@ class MctsState:
     _pos: np.ndarray = field(init=False, repr=False)
     _scratch: np.ndarray = field(init=False, repr=False)
     _cur_pos: np.ndarray = field(init=False, repr=False)
-    _cand_lists: list[list[int]] = field(init=False, repr=False)
     _run: Callable = field(init=False, repr=False)
+    _construct: Callable = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         n = self.instance.n
-        self._cand_lists = self.candidates.tolist()
         self._row_sums = self.W.sum(axis=1)
         self._iota = np.arange(n, dtype=np.int64)
         self._pos = np.empty(n, dtype=np.int64)
@@ -277,71 +274,15 @@ def omega(state: MctsState, i: int) -> float:
     return float(state._row_sums[i] / (state.n - 1))
 
 
-def _scorer(state: MctsState) -> Callable[[int, list[int]], list[float]]:
-    """``potentials(v, targets)``: ``potential(v, u)`` for each ``u`` in
-    ``targets``, as Python floats, at the current ``M``.
-
-    The returned function reads ``W``, ``Q`` and the row sums live, but
-    fixes ``M``; make a new one after ``M`` changes.
-    """
-    w = state.W.item
-    q = state.Q.item
-    row_sum = state._row_sums.item
-    n1 = state.n - 1
-    alpha = state.params.alpha
-    bonus = math.log(state.M + 1.0)
-    sqrt = math.sqrt
-
-    def potentials(v: int, targets: list[int]) -> list[float]:
-        om = row_sum(v) / n1
-        return [w(v, u) / om + alpha * sqrt(bonus / (q(v, u) + 1.0)) for u in targets]
-
-    return potentials
-
-
-def _pick(z: list[float], rng: np.random.Generator) -> int:
-    """Index sampled proportionally to ``z`` (uniform if ``z`` is degenerate).
-
-    Sums left to right and bisects to the first cumulative sum greater than
-    ``rng.random() * total``, clamped to the last index.
-    """
-    cum = list(accumulate(z))
-    last = len(cum) - 1
-    total = cum[last]
-    if not math.isfinite(total) or total <= 0.0:
-        return int(rng.integers(last + 1))
-    return min(bisect_right(cum, rng.random() * total), last)
-
-
 def edge_potential(state: MctsState, i: int, j: int) -> float:
     """Score of directed edge ``(i, j)``: exploitation plus optimism bonus."""
     if i == j:
         raise ValueError("edge potential is undefined on the diagonal")
     if not (0 <= i < state.n and 0 <= j < state.n):
         raise ValueError("vertex index out of range")
-    return _scorer(state)(i, [j])[0]
-
-
-def _construct_order(state: MctsState, rng: np.random.Generator) -> np.ndarray:
-    n = state.n
-    order = np.empty(n, dtype=np.int64)
-    visited = np.zeros(n, dtype=bool)
-    v = int(rng.integers(n))
-    order[0] = v
-    visited[v] = True
-    is_visited = visited.item
-    potentials = _scorer(state)
-    for i in range(1, n):
-        open_ = [c for c in state._cand_lists[v] if not is_visited(c)]
-        if open_:
-            u = open_[_pick(potentials(v, open_), rng)]
-        else:
-            # all candidates used up: hop to the nearest unvisited vertex
-            u = int(np.argmin(np.where(visited, np.inf, state.d[v])))
-        order[i] = u
-        visited[u] = True
-        v = u
-    return order
+    return state.W.item(i, j) / omega(state, i) + state.params.alpha * math.sqrt(
+        math.log(state.M + 1.0) / (state.Q.item(i, j) + 1.0)
+    )
 
 
 def construct_tour(state: MctsState, rng: np.random.Generator) -> Tour:
@@ -351,14 +292,15 @@ def construct_tour(state: MctsState, rng: np.random.Generator) -> Tour:
     unvisited candidates proportionally to edge potential, falling back to
     the nearest unvisited vertex when no candidate remains.
     """
-    return Tour(_construct_order(state, rng))
+    return Tour(state._construct(state, rng).copy())
 
 
 def _bind(state: MctsState) -> None:
-    """Binds ``state._run`` for the state's life: ``kopt_run`` of ``_kopt.c``
-    (see ``_kopt.bind``), reporting the call's last sample as ``(action,
-    order, length)``, with ``order`` the scratch buffer, or ``None``."""
-    kernel_run, seq = _kopt.bind(state)
+    """Binds ``state._run`` and ``state._construct`` for the state's life:
+    ``kopt_run`` and ``kopt_construct`` of ``_kopt.c`` (see ``_kopt.bind``).
+    ``_run`` reports the call's last sample as ``(action, order, length)``,
+    with ``order`` the scratch buffer, or ``None``."""
+    kernel_run, state._construct, seq = _kopt.bind(state)
     order = state._scratch
 
     def run(state: MctsState, rng: np.random.Generator, *limits):
@@ -505,7 +447,7 @@ def mcts_solve(
                 continue
             fails += 1
         if fails >= stagnation:
-            order = _two_opt_order(state.d, _construct_order(state, rng), deadline=deadline)
+            order = _two_opt_order(state.d, state._construct(state, rng), deadline=deadline)
             state._set_current(order, cycle_length(state.instance.points, order))
             restarts += 1
             fails = 0

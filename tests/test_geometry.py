@@ -22,7 +22,7 @@ from tsplab.geometry import (
     two_opt,
 )
 from tsplab.heatmap import softdist
-from tsplab.mcts import MctsParams, _construct_order, init_state
+from tsplab.mcts import MctsParams, construct_tour, init_state
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -282,7 +282,7 @@ class TestTwoOptExactness:
             state = init_state(inst, softdist(inst, 0.05), MctsParams(time_budget=1.0, seed=n))
             rng = rng_for(n, 0, "restart")
             for _ in range(4):
-                start = _construct_order(state, rng)
+                start = construct_tour(state, rng).order
                 got = _two_opt_order(state.d, start)
                 assert np.array_equal(got, _reference_two_opt_order(state.d, start))
 

@@ -8,6 +8,8 @@ import subprocess
 import sys
 import tempfile
 import time
+from bisect import bisect_right
+from collections.abc import Callable
 from itertools import accumulate
 from pathlib import Path
 
@@ -32,8 +34,6 @@ from tsplab.mcts import (
     KoptAction,
     MctsParams,
     MctsState,
-    _pick,
-    _scorer,
     apply_kopt,
     backpropagate,
     construct_tour,
@@ -196,6 +196,15 @@ class TestEdgePotential:
         state.M = 17
         state.Q[0, 1] = state.Q[1, 0] = 5
         assert edge_potential(state, 0, 1) == 1.0
+
+    def test_matches_the_oracle_on_every_candidate(self):
+        # bit for bit the potentials the sampler and restart oracles draw by
+        for case, (heatmap, alpha, _, _) in enumerate(PARITY_CASES):
+            state = _parity_state(50, 5, heatmap, alpha, 10, seed=case)
+            _warm(state, rng_for(case, 0, "warm"))
+            potentials = _scorer(state)
+            for v, row in enumerate(state.candidates.tolist()):
+                assert [edge_potential(state, v, u) for u in row] == potentials(v, row)
 
     def test_rejects_diagonal(self):
         state = _state(n=5)
@@ -546,6 +555,20 @@ class TestMctsSolve:
         result = mcts_solve(inst, softdist(inst, default_tau(50)), MctsParams(time_budget=0.1))
         assert result.elapsed <= 0.105
 
+    def test_depth_beyond_n_solves_as_depth_n(self):
+        # an action deletes distinct edges of its start tour, so at most n:
+        # a larger max_depth closes the same actions, and sizes no buffer
+        inst = generate_instances(20, 1, seed=17)[0]
+        h = softdist(inst, default_tau(20))
+        a, b = (
+            mcts_solve(inst, h, MctsParams(time_budget=60.0, seed=17, max_depth=depth,
+                                           max_actions=3000, stagnation_limit=200))
+            for depth in (20, 10**11)
+        )
+        assert (a.best_length, a.actions_sampled, a.restarts) == (
+            b.best_length, b.actions_sampled, b.restarts)
+        assert np.array_equal(a.best.order, b.best.order)
+
     def test_restarts_on_stagnation(self):
         inst = generate_instances(20, 1, seed=12)[0]
         params = MctsParams(time_budget=0.4, seed=12, stagnation_limit=40)
@@ -567,9 +590,9 @@ def _nearest_pair_heatmap(inst: TspInstance) -> np.ndarray:
 
 # Capped solves pinned bit for bit: (best_length, sha256 of best.order as
 # int64 bytes, first 16 hex digits, actions_sampled, restarts).  Together the
-# cases reach every branch of the sampler: restarts through _construct_order
-# (including its nearest-unvisited hop), dead ends, the uniform pick on a
-# zero-potential row (alpha=0 case) and closing at max_depth (depth-2 case).
+# cases reach every branch of the sampler: restart tours (including the
+# nearest-unvisited hop), dead ends, the uniform pick on a zero-potential row
+# (alpha=0 case) and closing at max_depth (depth-2 case).
 GOLDEN = {
     "softdist": (7.355936183614727, "8de7a713e3a95118", 3000, 8),
     "zeros": (6.285277797027128, "d88e2020defce6f1", 2000, 11),
@@ -609,7 +632,69 @@ def test_golden_capped_output(name):
     assert got == GOLDEN[name]
 
 
-# The Python sampler and run loop: the oracles the compiled ones are held to.
+# The Python sampler, run loop and restart construction: the oracles the
+# compiled ones are held to.
+
+
+def _scorer(state: MctsState) -> Callable[[int, list[int]], list[float]]:
+    """``potentials(v, targets)``: ``potential(v, u)`` for each ``u`` in
+    ``targets``, as Python floats, at the current ``M``.
+
+    The returned function reads ``W``, ``Q`` and the row sums live, but
+    fixes ``M``; make a new one after ``M`` changes.
+    """
+    w = state.W.item
+    q = state.Q.item
+    row_sum = state._row_sums.item
+    n1 = state.n - 1
+    alpha = state.params.alpha
+    bonus = math.log(state.M + 1.0)
+    sqrt = math.sqrt
+
+    def potentials(v: int, targets: list[int]) -> list[float]:
+        om = row_sum(v) / n1
+        return [w(v, u) / om + alpha * sqrt(bonus / (q(v, u) + 1.0)) for u in targets]
+
+    return potentials
+
+
+def _pick(z: list[float], rng: np.random.Generator) -> int:
+    """Index sampled proportionally to ``z`` (uniform if ``z`` is degenerate).
+
+    Sums left to right and bisects to the first cumulative sum greater than
+    ``rng.random() * total``, clamped to the last index.
+    """
+    cum = list(accumulate(z))
+    last = len(cum) - 1
+    total = cum[last]
+    if not math.isfinite(total) or total <= 0.0:
+        return int(rng.integers(last + 1))
+    return min(bisect_right(cum, rng.random() * total), last)
+
+
+def _construct_order(state: MctsState, rng: np.random.Generator) -> np.ndarray:
+    """The oracle of ``kopt_construct`` in ``_kopt.c``: a restart tour by
+    the chain rule, as :func:`tsplab.mcts.construct_tour` describes."""
+    n = state.n
+    cand_lists = state.candidates.tolist()
+    order = np.empty(n, dtype=np.int64)
+    visited = np.zeros(n, dtype=bool)
+    v = int(rng.integers(n))
+    order[0] = v
+    visited[v] = True
+    is_visited = visited.item
+    potentials = _scorer(state)
+    for i in range(1, n):
+        open_ = [c for c in cand_lists[v] if not is_visited(c)]
+        if open_:
+            u = open_[_pick(potentials(v, open_), rng)]
+        else:
+            # all candidates used up: hop to the nearest unvisited vertex
+            u = int(np.argmin(np.where(visited, np.inf, state.d[v])))
+        order[i] = u
+        visited[u] = True
+        v = u
+    return order
 
 
 def _sample_action(
@@ -654,7 +739,7 @@ def _sample_action(
     pos_of = pos.item
     at = order.item
     dist = state.d.item
-    cand_lists = state._cand_lists
+    cand_lists = state.candidates.tolist()
     potentials = _scorer(state)
     b = at(1)
     c0 = state.current_length
@@ -761,8 +846,7 @@ def _subprocess_env(tmp_path) -> dict:
     return dict(os.environ, PYTHONPATH=src, XDG_CACHE_HOME=str(tmp_path / "cache"))
 
 
-def _twin_states(n, k, heatmap, alpha, max_depth, seed=0):
-    """Two equal states, the first on the Python run loop, the second on the kernel."""
+def _parity_state(n, k, heatmap, alpha, max_depth, seed=0):
     inst = generate_instances(n, 1, seed=seed)[0]
     h = {
         "softdist": lambda: softdist(inst, default_tau(n)),
@@ -770,9 +854,26 @@ def _twin_states(n, k, heatmap, alpha, max_depth, seed=0):
         "sparse": lambda: _nearest_pair_heatmap(inst),
     }[heatmap]()
     params = MctsParams(time_budget=1.0, seed=seed, alpha=alpha, k=k, max_depth=max_depth)
-    py, c = init_state(inst, h, params), init_state(inst, h, params)
+    return init_state(inst, h, params)
+
+
+def _twin_states(n, k, heatmap, alpha, max_depth, seed=0):
+    """Two equal states, the first on the Python run loop, the second on the kernel."""
+    py, c = (_parity_state(n, k, heatmap, alpha, max_depth, seed) for _ in range(2))
     py._run = _run_python
     return py, c
+
+
+def _warm(state, rng, samples=60):
+    """Sample on the kernel and reward every fifth action drawn, so that
+    ``M``, ``Q`` and ``W`` all move off their initial values."""
+    w0 = state.W.copy()
+    actions = [a for a in (sample_kopt(state, rng) for _ in range(samples)) if a is not None]
+    for action in actions[::5]:
+        backpropagate(state, 1.0, 0.99, action)
+    # with one candidate per vertex a small tour may admit no action at all
+    if state.candidates.shape[1] > 1:
+        assert state.M > 0 and state.Q.any() and not np.array_equal(state.W, w0)
 
 
 def _rng_state(rng) -> str:
@@ -932,6 +1033,32 @@ class TestCompiledSampler:
         # depth-2 actions are 2-opt moves, which cannot improve the 2-opt start
         assert (_kopt.CANDIDATE in events) == (depth > 2)
 
+    def test_construct_parity(self, monkeypatch):
+        # kopt_construct against _construct_order on warmed states, construct
+        # by construct; the sweep reaches both of the oracle's fallbacks
+        totals, hops, pick = [], 0, _pick
+        # the oracle below draws through this module's _pick
+        monkeypatch.setitem(
+            globals(), "_pick", lambda z, rng: totals.append(sum(z)) or pick(z, rng)
+        )
+        for n in (4, 5, 7, 50, 100, 300):
+            for k in (1, 5, n - 1):
+                for case, (heatmap, alpha, _, _) in enumerate(PARITY_CASES):
+                    state = _parity_state(n, k, heatmap, alpha, 10, seed=n + case)
+                    _warm(state, rng_for(case, n, "warm"))
+                    cand = state.candidates.tolist()
+                    rng_py, rng_c = rng_for(case, n, "construct"), rng_for(case, n, "construct")
+                    for _ in range(5):
+                        got = construct_tour(state, rng_c).order
+                        want = _construct_order(state, rng_py)
+                        assert np.array_equal(got, want), (n, k, case)
+                        assert _rng_state(rng_c) == _rng_state(rng_py)
+                        # a step to a vertex off the candidate list is a hop
+                        hops += sum(int(b) not in cand[a] for a, b in zip(want, want[1:]))
+        assert hops > 0
+        # the uniform draw on a row whose potentials sum to zero
+        assert 0.0 in totals
+
     def test_wall_budget_bounds_the_run(self):
         # README criterion 6 under the run loop: no cap, many restarts,
         # checkpoints up to the budget.  A restart's construction is not
@@ -995,9 +1122,13 @@ class TestCompiledSampler:
     @pytest.mark.parametrize("compiled", [False, True], ids=["python", "compiled"])
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_golden_on_both_samplers(self, name, compiled, monkeypatch):
-        # python: whole solves with the oracle run loop bound in the kernel's place
+        # python: whole solves with the oracle run loop and restart
+        # construction bound in the kernel's place
         if not compiled:
-            monkeypatch.setattr(mcts, "_bind", lambda s: setattr(s, "_run", _run_python))
+            def bind_oracles(state):
+                state._run, state._construct = _run_python, _construct_order
+
+            monkeypatch.setattr(mcts, "_bind", bind_oracles)
         assert _golden_solve(name) == GOLDEN[name]
 
     def test_load_raises_without_a_compiler(self, tmp_path, monkeypatch):
@@ -1039,6 +1170,7 @@ class TestCompiledSampler:
         cache = tmp_path / "cache" / "tsplab"
         assert [p.name for p in cache.iterdir()] == [_kopt.library_name()]
         lib = ctypes.CDLL(str(cache / _kopt.library_name()))
-        # one sampler entry point and one struct cross the boundary
-        assert all(hasattr(lib, name) for name in ("kopt_run", "kopt_two_opt", "kopt_sizeof_ctx"))
+        # one sampler entry point, the restart tour and one struct cross the boundary
+        assert all(hasattr(lib, name) for name in
+                   ("kopt_run", "kopt_construct", "kopt_two_opt", "kopt_sizeof_ctx"))
         assert not hasattr(lib, "kopt_sample") and not hasattr(lib, "kopt_sizeof_run")
