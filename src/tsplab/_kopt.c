@@ -2,17 +2,19 @@
  * reject -> count-fails cycle of a solve (kopt_run; mcts.sample_kopt is one
  * kopt_run step), the restart tour (kopt_construct, run by
  * mcts.construct_tour and each restart) and first-improvement 2-opt
- * (kopt_two_opt, run by geometry._two_opt_order).
+ * (kopt_two_opt, run by tsplab._kopt.two_opt).  Every edge is measured from
+ * the coordinates by dist(); no distance matrix is held.
  *
- * Python forms of all three live in the tests as oracles: the sampler, run
- * loop and restart construction in tests/test_mcts.py, a dense 2-opt rescan
- * in tests/test_geometry.py.  Every step mirrors them: the same candidates
- * are tried in the same order, each potential and each 2-opt delta is the
- * same IEEE double arithmetic in the same order (build with
- * -ffp-contract=off, so no step is fused), and each draw comes from the
- * solve's own numpy generator through its bit generator, exactly as
- * rng.integers and rng.random draw.  So the same seed gives the same action,
- * tour, length, counts and generator state, bit for bit.
+ * Python forms of all three live in the tests as oracles, reading
+ * geometry.distance_matrix: the sampler, run loop and restart construction
+ * in tests/test_mcts.py, a dense 2-opt rescan in tests/test_geometry.py.
+ * Every step mirrors them: the same candidates are tried in the same order,
+ * each distance, potential and 2-opt delta is the same IEEE double
+ * arithmetic in the same order (build with -ffp-contract=off, so no step is
+ * fused), and each draw comes from the solve's own numpy generator through
+ * its bit generator, exactly as rng.integers and rng.random draw.  So the
+ * same seed gives the same action, tour, length, counts and generator
+ * state, bit for bit.
  */
 
 /* clock_gettime and CLOCK_MONOTONIC under a strict -std */
@@ -39,7 +41,7 @@ typedef struct {
     int64_t kc;             /* candidates per vertex */
     int64_t max_depth;
     double alpha;
-    const double *d;        /* n x n distances */
+    const double *pts;      /* n x 2 coordinates */
     const double *W;        /* n x n edge weights */
     int64_t *Q;             /* n x n visit counts */
     const double *row_sums; /* n */
@@ -83,6 +85,15 @@ static int64_t draw_below(bitgen_t *bg, int64_t bound)
         }
     }
     return (int64_t)(m >> 32);
+}
+
+/* |uv|, bit for bit the entry (u, v) of geometry.distance_matrix */
+static double dist(const double *pts, int64_t u, int64_t v)
+{
+    const double dx = pts[2 * u] - pts[2 * v];
+    const double dy = pts[2 * u + 1] - pts[2 * v + 1];
+
+    return sqrt(dx * dx + dy * dy);
 }
 
 static int64_t edge_key(int64_t u, int64_t v, int64_t n)
@@ -139,7 +150,7 @@ static int64_t pick(kopt_ctx *c, int64_t v, int64_t count, double bonus, bitgen_
 static int64_t kopt_sample(kopt_ctx *c, bitgen_t *bg)
 {
     const int64_t n = c->n;
-    const double *d = c->d;
+    const double *pts = c->pts;
     int64_t *order = c->order;
     int64_t *pos = c->pos;
     int64_t *seq = c->seq;
@@ -185,7 +196,7 @@ static int64_t kopt_sample(kopt_ctx *c, bitgen_t *bg)
 
         j = pos[ch];
         bn = order[j - 1];
-        length += d[a1 * n + bn] + d[b * n + ch] - d[a1 * n + b] - d[bn * n + ch];
+        length += dist(pts, a1, bn) + dist(pts, b, ch) - dist(pts, a1, b) - dist(pts, bn, ch);
         c->deleted[nd++] = edge_key(bn, ch, n);
         c->added[na++] = edge_key(b, ch, n);
         seq[len++] = ch;
@@ -245,11 +256,15 @@ void kopt_construct(kopt_ctx *c, bitgen_t *bg)
         if (nf > 0) {
             v = pick(c, v, nf, bonus, bg);
         } else {
-            const double *dv = c->d + v * n;
             int64_t near = -1;
-            for (int64_t u = 0; u < n; u++)
-                if (pos[u] < 0 && (near < 0 || dv[u] < dv[near]))
+            double best = INFINITY;
+            for (int64_t u = 0; u < n; u++) {
+                const double du = pos[u] < 0 ? dist(c->pts, v, u) : INFINITY;
+                if (du < best) {
                     near = u;
+                    best = du;
+                }
+            }
             v = near;
         }
         order[t] = v;
@@ -308,13 +323,13 @@ int64_t kopt_run(kopt_ctx *c, bitgen_t *bg)
 /* Row-major first pair (r, col) among rows r0..r1-1 and columns c0..c1-1
  * with col >= r + 2, not (0, n-1), whose reversal shortens the tour by
  * more than eps.  Returns 1 and stores the pair, or returns 0. */
-static int first_hit(const double *d, int64_t n, const int64_t *order, const double *edge,
+static int first_hit(const double *pts, int64_t n, const int64_t *order, const double *edge,
                      double eps, int64_t r0, int64_t r1, int64_t c0, int64_t c1,
                      int64_t *hit_r, int64_t *hit_c)
 {
     for (int64_t r = r0; r < r1; r++) {
-        const double *da = d + order[r] * n;
-        const double *db = d + order[r + 1] * n;
+        const int64_t a = order[r];
+        const int64_t b = order[r + 1];
         const double er = edge[r];
         /* (0, n-1) would reverse the whole cycle */
         const int64_t stop = r == 0 && c1 == n ? n - 1 : c1;
@@ -322,7 +337,7 @@ static int first_hit(const double *d, int64_t n, const int64_t *order, const dou
         for (int64_t col = c0 > r + 2 ? c0 : r + 2; col < stop; col++) {
             const int64_t next = order[col + 1 < n ? col + 1 : 0];
             /* replace edges (r, r+1) and (col, col+1) with (r, col) and (r+1, col+1) */
-            if (((da[order[col]] + db[next]) - er) - edge[col] < -eps) {
+            if (((dist(pts, a, order[col]) + dist(pts, b, next)) - er) - edge[col] < -eps) {
                 *hit_r = r;
                 *hit_c = col;
                 return 1;
@@ -335,10 +350,10 @@ static int first_hit(const double *d, int64_t n, const int64_t *order, const dou
 /* First-improvement 2-opt on order[0..n), n >= 4, in place: the moves a
  * full rescan after each move would make.  After move (i, j) no earlier pair improves
  * and only pairs in rows >= i or columns i..j changed, so the next search
- * checks rows below i over columns i..j, then scans on from row i.  edge
- * is n doubles of scratch.  Stops once the tour is 2-optimal, or after the
- * first move made once `seconds` have passed since entry. */
-void kopt_two_opt(const double *d, int64_t n, int64_t *order, double *edge, double eps,
+ * checks rows below i over columns i..j, then scans on from row i.  pts is
+ * n x 2 coordinates, edge n doubles of scratch.  Stops once the tour is
+ * 2-optimal, or after the first move made once `seconds` have passed. */
+void kopt_two_opt(const double *pts, int64_t n, int64_t *order, double *edge, double eps,
                   double seconds)
 {
     struct timespec t0;
@@ -346,12 +361,12 @@ void kopt_two_opt(const double *d, int64_t n, int64_t *order, double *edge, doub
 
     clock_gettime(CLOCK_MONOTONIC, &t0);
     for (int64_t t = 0; t < n; t++)
-        edge[t] = d[order[t] * n + order[t + 1 < n ? t + 1 : 0]];
+        edge[t] = dist(pts, order[t], order[t + 1 < n ? t + 1 : 0]);
     for (;;) {
         int64_t hi, hj;
 
-        if (!(i > 0 && first_hit(d, n, order, edge, eps, 0, i, i, j + 1, &hi, &hj))
-            && !first_hit(d, n, order, edge, eps, i, n - 2, i + 2, n, &hi, &hj))
+        if (!(i > 0 && first_hit(pts, n, order, edge, eps, 0, i, i, j + 1, &hi, &hj))
+            && !first_hit(pts, n, order, edge, eps, i, n - 2, i + 2, n, &hi, &hj))
             return;
         i = hi;
         j = hj;
@@ -361,7 +376,7 @@ void kopt_two_opt(const double *d, int64_t n, int64_t *order, double *edge, doub
             order[up] = tmp;
         }
         for (int64_t t = i; t <= j; t++)
-            edge[t] = d[order[t] * n + order[t + 1 < n ? t + 1 : 0]];
+            edge[t] = dist(pts, order[t], order[t + 1 < n ? t + 1 : 0]);
         if (seconds_since(&t0) >= seconds)
             return;
     }

@@ -9,10 +9,10 @@ with ``os.replace``, so processes that build at once leave one whole library.
 
 The library exports ``kopt_run`` (the sampling cycle of a solve; one
 sample is one ``kopt_run`` step), ``kopt_construct`` (the restart tour),
-``kopt_two_opt`` and ``kopt_sizeof_ctx``.  It is the engine's only search
-loop: when no compiler or writable directory exists, or the library's struct
-does not match its ctypes mirror here, :func:`load` raises ``OSError`` naming
-what failed in each directory tried.
+``kopt_two_opt`` and ``kopt_sizeof_ctx``, and measures every edge from the
+coordinates.  It is the engine's only search loop: when no compiler or
+writable directory exists, or its struct does not match the ctypes mirror
+here, :func:`load` raises ``OSError`` naming what failed in each directory tried.
 """
 
 from __future__ import annotations
@@ -32,8 +32,11 @@ from pathlib import Path
 import numpy as np
 
 SOURCE = Path(__file__).with_name("_kopt.c")
-# -ffp-contract=off keeps every potential the same IEEE arithmetic as Python's
+# -ffp-contract=off keeps every distance and potential the same IEEE arithmetic as numpy's
 CFLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+
+# a 2-opt reversal must gain more than this: no cycling on floating-point noise
+IMPROVE_EPS = 1e-12
 
 _c_i64, _c_double, _c_void_p = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p
 _I64_MAX = 2**63 - 1
@@ -52,7 +55,7 @@ class _Context(ctypes.Structure):
         ("max_depth", _c_i64),
         ("alpha", _c_double),
         *((name, _c_void_p) for name in (
-            "d", "W", "Q", "row_sums", "cand", "current", "cur_pos", "order", "pos",
+            "pts", "W", "Q", "row_sums", "cand", "current", "cur_pos", "order", "pos",
             "seq", "deleted", "added", "feasible", "cum",
         )),
         ("M", _c_i64),
@@ -170,21 +173,22 @@ def _address(a: np.ndarray, dtype, shape: tuple[int, ...]) -> int:
     return a.ctypes.data
 
 
-def two_opt(d: np.ndarray, order: np.ndarray, eps: float, deadline: float | None) -> None:
-    """Run ``kopt_two_opt`` on ``order`` in place.
-
-    ``order`` is a C-contiguous int64 permutation of at least 4 vertices and
-    ``d`` its distance matrix.  ``deadline`` is a ``time.perf_counter()``
-    value; the kernel gets what is left of it in seconds and times that on
-    its own clock.
-    """
-    lib = load()
+def two_opt(points: np.ndarray, order, deadline: float | None = None) -> np.ndarray:
+    """``order``, a permutation of the rows of ``points`` (n x 2), polished by
+    ``kopt_two_opt`` into an int64 copy.  Each move reverses positions i+1..j
+    for the lexicographically first improving pair (i, j), as a full rescan
+    would pick it, until none is left.  ``deadline``, a ``time.perf_counter()``
+    value, is checked once per applied move; the kernel times what is left
+    of it on its own clock and returns the order as it is once it passes."""
+    order = np.array(order, dtype=np.int64, copy=True)
     n = order.shape[0]
-    d = np.ascontiguousarray(d, dtype=np.float64)
+    if n < 4:
+        return order
     edge = np.empty(n)  # held here while the kernel writes to it
     seconds = math.inf if deadline is None else deadline - time.perf_counter()
-    lib.kopt_two_opt(_address(d, np.float64, (n, n)), n, _address(order, np.int64, (n,)),
-                     edge.ctypes.data, eps, seconds)
+    load().kopt_two_opt(_address(points, np.float64, (n, 2)), n, order.ctypes.data,
+                        edge.ctypes.data, IMPROVE_EPS, seconds)
+    return order
 
 
 def bind(state):
@@ -218,7 +222,7 @@ def bind(state):
                np.empty(kc, dtype=i64), np.empty(kc, dtype=f64))
     ctx = _Context(
         n, kc, depth, state.params.alpha,
-        _address(state.d, f64, (n, n)),
+        _address(state.instance.points, f64, (n, 2)),
         _address(state.W, f64, (n, n)),
         _address(state.Q, i64, (n, n)),
         _address(state._row_sums, f64, (n,)),

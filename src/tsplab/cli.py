@@ -28,7 +28,7 @@ from .fileio import (
     write_traces,
 )
 from .geometry import brute_force_optimal, generate_instances
-from .mcts import MctsParams, default_time_budget
+from .mcts import MctsParams, _validated_checkpoints, default_time_budget
 from .tuner import GridSpec, default_tau, grid_search_tau
 
 
@@ -121,6 +121,13 @@ def cmd_solve(args: argparse.Namespace) -> int:
 
     instances = [inst for inst, _ in parse_instances(args.infile)]
     specs = [_solve_spec(args, inst) for inst in instances]
+    # a default budget depends on n: check every one before the first solve
+    for spec, iid in zip(specs, instance_ids(len(specs))):
+        budget = spec.params.time_budget
+        try:
+            _validated_checkpoints(checkpoints, budget)
+        except ValueError as e:
+            raise ValueError(f"instance {iid} (budget {budget:g}s): {e}") from None
     specs[0].check_batch(instances)
     records = []
     for inst, spec, iid in zip(instances, specs, instance_ids(len(instances))):

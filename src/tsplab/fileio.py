@@ -40,49 +40,56 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def _read_text(path: Path) -> io.StringIO:
+    """The text of ``path``; bytes that do not decode raise a ParseError naming it."""
+    try:
+        return io.StringIO(path.read_text(encoding="utf-8"))
+    except UnicodeDecodeError as e:
+        raise ParseError(f"{path}: not {e.encoding} text (byte {e.start})") from None
+
+
 # -- instances ---------------------------------------------------------------
 
 
 def parse_instances(path) -> list[tuple[TspInstance, Tour | None]]:
     path = Path(path)
     out: list[tuple[TspInstance, Tour | None]] = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line:
-                continue
-            toks = line.split()
-            if "output" in toks:
-                cut = toks.index("output")
-                coord_toks, tour_toks = toks[:cut], toks[cut + 1 :]
-            else:
-                coord_toks, tour_toks = toks, None
+    for lineno, raw in enumerate(_read_text(path), 1):
+        line = raw.strip()
+        if not line:
+            continue
+        toks = line.split()
+        if "output" in toks:
+            cut = toks.index("output")
+            coord_toks, tour_toks = toks[:cut], toks[cut + 1 :]
+        else:
+            coord_toks, tour_toks = toks, None
+        try:
+            coords = [float(t) for t in coord_toks]
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: coordinates must be numbers") from None
+        if len(coords) % 2:
+            raise ParseError(f"{path}:{lineno}: odd number of coordinate values")
+        try:
+            inst = TspInstance(np.array(coords, dtype=np.float64).reshape(-1, 2))
+        except ValueError as e:
+            raise ParseError(f"{path}:{lineno}: {e}") from None
+        tour = None
+        if tour_toks is not None:
             try:
-                coords = [float(t) for t in coord_toks]
+                idx = [int(t) for t in tour_toks]
             except ValueError:
-                raise ParseError(f"{path}:{lineno}: coordinates must be numbers") from None
-            if len(coords) % 2:
-                raise ParseError(f"{path}:{lineno}: odd number of coordinate values")
-            try:
-                inst = TspInstance(np.array(coords, dtype=np.float64).reshape(-1, 2))
-            except ValueError as e:
-                raise ParseError(f"{path}:{lineno}: {e}") from None
-            tour = None
-            if tour_toks is not None:
-                try:
-                    idx = [int(t) for t in tour_toks]
-                except ValueError:
-                    raise ParseError(f"{path}:{lineno}: tour indices must be integers") from None
-                if len(idx) != inst.n + 1 or idx[0] != idx[-1]:
-                    raise ParseError(
-                        f"{path}:{lineno}: tour must list n+1 one-based indices "
-                        "with the first repeated at the end"
-                    )
-                body = np.array(idx[:-1], dtype=np.int64) - 1
-                if not is_permutation(body, inst.n):
-                    raise ParseError(f"{path}:{lineno}: tour is not a permutation of 1..n")
-                tour = Tour(body)
-            out.append((inst, tour))
+                raise ParseError(f"{path}:{lineno}: tour indices must be integers") from None
+            if len(idx) != inst.n + 1 or idx[0] != idx[-1]:
+                raise ParseError(
+                    f"{path}:{lineno}: tour must list n+1 one-based indices "
+                    "with the first repeated at the end"
+                )
+            body = np.array(idx[:-1], dtype=np.int64) - 1
+            if not is_permutation(body, inst.n):
+                raise ParseError(f"{path}:{lineno}: tour is not a permutation of 1..n")
+            tour = Tour(body)
+        out.append((inst, tour))
     if not out:
         raise ParseError(f"{path}: no instances")
     return out
@@ -121,12 +128,10 @@ def parse_heatmap(path) -> np.ndarray:
     """
     path = Path(path)
     with open(path, "rb") as fh:
-        head = fh.read(len(HEATMAP_MAGIC))
-        if head == HEATMAP_MAGIC:
+        if fh.read(len(HEATMAP_MAGIC)) == HEATMAP_MAGIC:
             h = _parse_heatmap_binary(fh, path)
         else:
-            fh.seek(0)
-            h = _parse_heatmap_text(io.TextIOWrapper(fh, encoding="utf-8"), path)
+            h = _parse_heatmap_text(_read_text(path), path)
     diag = np.diagonal(h)
     if not np.all(np.isfinite(diag)) or np.any(diag < 0.0):
         raise ParseError(f"{path}: heatmap diagonal entries must be finite and nonnegative")
@@ -142,17 +147,14 @@ def _parse_heatmap_binary(fh, path: Path) -> np.ndarray:
     if len(raw_n) != 8:
         raise ParseError(f"{path}: truncated binary heatmap header")
     n = struct.unpack("<Q", raw_n)[0]
-    data = np.frombuffer(fh.read(), dtype="<f8")
-    if data.size != n * n:
-        raise ParseError(f"{path}: expected {n * n} float64 values, found {data.size}")
-    return data.reshape(n, n).astype(np.float64)
+    payload = fh.read()
+    if len(payload) != 8 * n * n:
+        raise ParseError(f"{path}: expected {n * n} float64 values, found {len(payload)} bytes")
+    return np.frombuffer(payload, dtype="<f8").reshape(n, n).astype(np.float64)
 
 
 def _parse_heatmap_text(fh, path: Path) -> np.ndarray:
-    try:
-        lines = [l.strip() for l in fh]
-    except UnicodeDecodeError:
-        raise ParseError(f"{path}: not a heatmap file (bad magic and not text)") from None
+    lines = [l.strip() for l in fh]
     lines = [(i + 1, l) for i, l in enumerate(lines) if l]
     if not lines:
         raise ParseError(f"{path}: empty heatmap file")
@@ -198,26 +200,25 @@ def write_heatmap(path, h: np.ndarray, binary: bool = True) -> None:
 def parse_ref_lengths(path) -> dict[str, float]:
     path = Path(path)
     out: dict[str, float] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["instance_id", "length"]:
-            raise ParseError(f"{path}: expected CSV header 'instance_id,length'")
-        for lineno, row in enumerate(reader, 2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ParseError(f"{path}:{lineno}: expected 2 fields")
-            key = row[0].strip()
-            if key in out:
-                raise ParseError(f"{path}:{lineno}: duplicate instance id {key!r}")
-            try:
-                val = float(row[1])
-            except ValueError:
-                raise ParseError(f"{path}:{lineno}: length must be a number") from None
-            if not np.isfinite(val) or val <= 0.0:
-                raise ParseError(f"{path}:{lineno}: length must be positive and finite")
-            out[key] = val
+    reader = csv.reader(_read_text(path))
+    header = next(reader, None)
+    if header != ["instance_id", "length"]:
+        raise ParseError(f"{path}: expected CSV header 'instance_id,length'")
+    for lineno, row in enumerate(reader, 2):
+        if not row:
+            continue
+        if len(row) != 2:
+            raise ParseError(f"{path}:{lineno}: expected 2 fields")
+        key = row[0].strip()
+        if key in out:
+            raise ParseError(f"{path}:{lineno}: duplicate instance id {key!r}")
+        try:
+            val = float(row[1])
+        except ValueError:
+            raise ParseError(f"{path}:{lineno}: length must be a number") from None
+        if not np.isfinite(val) or val <= 0.0:
+            raise ParseError(f"{path}:{lineno}: length must be positive and finite")
+        out[key] = val
     return out
 
 

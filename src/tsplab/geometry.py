@@ -19,10 +19,6 @@ from . import _kopt
 
 _MASK64 = (1 << 64) - 1
 
-# A 2-opt reversal must beat this margin to count as an improvement; guards
-# against cycling on floating-point noise.
-_IMPROVE_EPS = 1e-12
-
 BRUTE_FORCE_MAX_N = 12
 _BRUTE_FORCE_CHUNK = 262_144
 
@@ -134,30 +130,10 @@ def cycle_length(points: np.ndarray, order: np.ndarray) -> float:
     return float(np.linalg.norm(pts - np.roll(pts, -1, axis=0), axis=1).sum())
 
 
-def _two_opt_order(
-    d: np.ndarray, order: np.ndarray, *, deadline: float | None = None
-) -> np.ndarray:
-    """First-improvement 2-opt on a vertex order, run by ``kopt_two_opt`` of
-    ``_kopt.c``.
-
-    Applies, one at a time, the lexicographically first improving reversal
-    pair (i, j) -- reversing positions i+1..j -- until none is left.  The
-    kernel's scan is incremental, yet every move, and so the result, is the
-    one a full rescan after each move would pick.
-
-    ``deadline`` is a ``time.perf_counter()`` value, checked once per
-    applied move; once it has passed, the current order is returned as is.
-    """
-    order = np.array(order, dtype=np.int64, copy=True)
-    if order.shape[0] >= 4:
-        _kopt.two_opt(d, order, _IMPROVE_EPS, deadline)
-    return order
-
-
 def two_opt(instance: TspInstance, tour: Tour) -> Tour:
     """2-opt local search from ``tour``; output length never exceeds input."""
     _require_tour(instance, tour)
-    return Tour(_two_opt_order(distance_matrix(instance), tour.order))
+    return Tour(_kopt.two_opt(instance.points, tour.order))
 
 
 def brute_force_optimal(instance: TspInstance) -> tuple[Tour, float]:

@@ -27,7 +27,8 @@ construction plus 2-opt; the best tour found, ``W``, ``Q`` and ``M`` all
 survive restarts.
 
 The sampling cycle, the restart tour and the 2-opt run compiled
-(``_kopt.c``, see :func:`_bind`), and :func:`sample_kopt` is one step of
+(``_kopt.c``, see :func:`_bind`), measuring each edge from the coordinates,
+so a solve builds no distance matrix; :func:`sample_kopt` is one step of
 that cycle.  Python keeps the exact re-measure of each candidate and
 ``backpropagate``.  The kernel is built and loaded by the first solve or
 ``init_state``, never at import, so ``tsplab gen`` and ``tsplab heatmap``
@@ -49,9 +50,7 @@ from .geometry import (
     TspInstance,
     Tour,
     _require_tour,
-    _two_opt_order,
     cycle_length,
-    distance_matrix,
     rng_for,
 )
 from .heatmap import candidate_sets, validate_heatmap
@@ -176,13 +175,12 @@ class MctsState:
 
     ``current``/``best`` are raw permutation arrays managed by the engine.
     ``current`` is one buffer for the state's life, rewritten in place by
-    :meth:`_set_current`, and ``W``, ``Q`` and ``d`` are never replaced: the
-    compiled sampler holds their addresses.  ``Q`` is kept symmetric by
-    construction.
+    :meth:`_set_current`, and ``W``, ``Q`` and ``instance.points`` are never
+    replaced: the compiled sampler holds their addresses.  ``Q`` is kept
+    symmetric by construction.
     """
 
     instance: TspInstance
-    d: np.ndarray
     W: np.ndarray
     Q: np.ndarray
     M: int
@@ -247,14 +245,12 @@ def init_state(
     h = validate_heatmap(heatmap, instance.n)
     if rng is None:
         rng = _engine_rng(params)
-    d = distance_matrix(instance)
     # built before the 2-opt so that the deadline also covers it
     candidates = candidate_sets(h, params.k)
-    order = _two_opt_order(d, rng.permutation(instance.n), deadline=deadline)
+    order = _kopt.two_opt(instance.points, rng.permutation(instance.n), deadline)
     length = cycle_length(instance.points, order)
     return MctsState(
         instance=instance,
-        d=d,
         W=100.0 * h,
         Q=np.zeros((instance.n, instance.n), dtype=np.int64),
         M=0,
@@ -447,7 +443,7 @@ def mcts_solve(
                 continue
             fails += 1
         if fails >= stagnation:
-            order = _two_opt_order(state.d, state._construct(state, rng), deadline=deadline)
+            order = _kopt.two_opt(state.instance.points, state._construct(state, rng), deadline)
             state._set_current(order, cycle_length(state.instance.points, order))
             restarts += 1
             fails = 0

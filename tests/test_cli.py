@@ -265,6 +265,21 @@ class TestSolveCmd:
         assert main(["solve", "--in", str(src), "--profile", "short",
                      "--max-actions", "30"]) == 0
 
+    def test_checkpoints_beyond_any_budget_fail_before_any_solve(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # default budgets are n/10 s: 10 s for instance 0 (n=100), 2 s for
+        # instance 1 (n=20), so checkpoint 5 fits only the first
+        src = tmp_path / "mixed.txt"
+        write_instances(src, generate_instances(100, 1, seed=0) + generate_instances(20, 1, 1))
+        monkeypatch.setattr(cli, "run_single", _no_solve)
+        assert main(["solve", "--in", str(src), "--checkpoints", "1,5",
+                     "--trace", str(tmp_path / "trace.csv")]) == 1
+        captured = capsys.readouterr()
+        assert "instance 0: length" not in captured.out
+        assert captured.err == (
+            "error: instance 1 (budget 2s): checkpoints must not exceed the time budget\n"
+        )
+
 
 class TestTuneCmd:
     def test_small_grid_run(self, tmp_path, capsys):
@@ -531,6 +546,31 @@ class TestRuntimeErrors:
         (tmp_path / "empty.txt").write_text("")
         assert main([argv[0], "--in", "empty.txt", *argv[1:]]) == 1
         assert capsys.readouterr().err == "error: empty.txt: no instances\n"
+
+    @pytest.mark.parametrize("loader", ["instances", "heatmap", "refs"])
+    def test_unreadable_bytes_name_the_file(self, tmp_path, capsys, monkeypatch, loader):
+        # bytes a loader cannot read: text that is not UTF-8, or a binary
+        # heatmap payload that is no whole number of float64 values
+        monkeypatch.setattr(cli, "run_single", _no_solve)
+        monkeypatch.setattr(cli, "run_bench", _no_solve)
+        src = _gen(tmp_path, n=6, count=1)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"method": "zeros", "params": {"time_budget": 1.0}}))
+        bad = tmp_path / "bad"
+        if loader == "heatmap":
+            write_heatmap(bad, softdist(parse_instances(src)[0][0], 0.05))
+            bad.write_bytes(bad.read_bytes()[:-3])
+        else:
+            bad.write_bytes(b"instance_id,length\n0,\xbb\n")
+        argv = {
+            "instances": ["solve", "--in", str(bad), "--budget", "1"],
+            "heatmap": ["solve", "--in", str(src), "--heatmap", str(bad), "--budget", "1"],
+            "refs": ["bench", "--in", str(src), "--spec", str(spec), "--refs", str(bad)],
+        }[loader]
+        capsys.readouterr()
+        assert main(argv) == 1
+        [line] = capsys.readouterr().err.splitlines()
+        assert line.startswith(f"error: {bad}: ")
 
     def test_missing_compiler(self, tmp_path):
         # the kernel cannot be built: set-up commands still run, and a solve

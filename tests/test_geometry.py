@@ -5,13 +5,12 @@ import time
 import numpy as np
 import pytest
 
+from tsplab import _kopt
 from tsplab.geometry import (
     BRUTE_FORCE_MAX_N,
     Tour,
     TspInstance,
     UnsupportedSizeError,
-    _IMPROVE_EPS,
-    _two_opt_order,
     brute_force_optimal,
     cycle_length,
     distance_matrix,
@@ -214,9 +213,11 @@ class TestTwoOpt:
                     assert tour_length(inst, Tour(cand)) >= base - 1e-9
 
 
-def _reference_two_opt_order(d: np.ndarray, order: np.ndarray) -> np.ndarray:
-    # the dense scan _two_opt_order replaced, kept as the exactness oracle:
-    # all n x n pair deltas are recomputed after every move
+def _reference_two_opt_order(inst: TspInstance, order: np.ndarray) -> np.ndarray:
+    # the dense scan kopt_two_opt replaced, kept as the exactness oracle: all
+    # n x n pair deltas are recomputed after every move from the distance
+    # matrix, which pins the kernel's distances to numpy's bit for bit
+    d = distance_matrix(inst)
     order = np.array(order, dtype=np.int64, copy=True)
     n = order.shape[0]
     if n < 4:
@@ -229,18 +230,18 @@ def _reference_two_opt_order(d: np.ndarray, order: np.ndarray) -> np.ndarray:
         edge = r[np.arange(n), (np.arange(n) + 1) % n]
         rk = np.roll(np.roll(r, -1, axis=0), -1, axis=1)
         delta = r + rk - edge[:, None] - edge[None, :]
-        hits = (delta < -_IMPROVE_EPS) & valid
+        hits = (delta < -_kopt.IMPROVE_EPS) & valid
         if not hits.any():
             return order
         i, j = divmod(int(np.argmax(hits)), n)
         order[i + 1 : j + 1] = order[i + 1 : j + 1][::-1]
 
 
-def _two_way(d: np.ndarray, start: np.ndarray) -> np.ndarray:
+def _two_way(inst: TspInstance, start: np.ndarray) -> np.ndarray:
     """The compiled 2-opt and the dense oracle on one start; both must make
     the same moves."""
-    want = _reference_two_opt_order(d, start)
-    assert np.array_equal(_two_opt_order(d, start), want)
+    want = _reference_two_opt_order(inst, start)
+    assert np.array_equal(_kopt.two_opt(inst.points, start), want)
     return want
 
 
@@ -250,31 +251,29 @@ class TestTwoOptKernel:
     @pytest.mark.parametrize("n", [*range(2, 14), 20, 33, 64, 100, 150, 300])
     def test_random_starts(self, n):
         for seed in range(6 if n <= 13 else 2):
-            d = distance_matrix(generate_instances(n, 1, seed=seed)[0])
-            _two_way(d, rng_for(seed, n, "kernel").permutation(n))
+            inst = generate_instances(n, 1, seed=seed)[0]
+            _two_way(inst, rng_for(seed, n, "kernel").permutation(n))
 
     @pytest.mark.parametrize("n", [5, 12, 40, 120])
     def test_duplicate_points(self, n):
         # each point twice or more: zero-length edges and tied deltas
         for seed in range(3):
             pts = rng_for(seed, n, "dup").random((n // 2, 2))[np.arange(n) % (n // 2)]
-            d = distance_matrix(_inst(pts))
-            _two_way(d, rng_for(seed, n, "dup-start").permutation(n))
+            _two_way(_inst(pts), rng_for(seed, n, "dup-start").permutation(n))
 
     @pytest.mark.parametrize("n", [4, 9, 60, 200])
     def test_two_optimal_start_makes_no_move(self, n):
-        d = distance_matrix(generate_instances(n, 1, seed=n)[0])
-        polished = _reference_two_opt_order(d, rng_for(n, 0, "polished").permutation(n))
-        assert np.array_equal(_two_way(d, polished), polished)
+        inst = generate_instances(n, 1, seed=n)[0]
+        polished = _reference_two_opt_order(inst, rng_for(n, 0, "polished").permutation(n))
+        assert np.array_equal(_two_way(inst, polished), polished)
 
 
 class TestTwoOptExactness:
     @pytest.mark.parametrize("n", [4, 5, 6, 7, 12, 50, 100, 200])
     def test_random_starts_match_dense_scan(self, n):
         for seed in range(12 if n <= 12 else 3):
-            d = distance_matrix(generate_instances(n, 1, seed=seed)[0])
-            start = rng_for(seed, n, "exact").permutation(n)
-            assert np.array_equal(_two_opt_order(d, start), _reference_two_opt_order(d, start))
+            inst = generate_instances(n, 1, seed=seed)[0]
+            _two_way(inst, rng_for(seed, n, "exact").permutation(n))
 
     def test_restart_starts_match_dense_scan(self):
         for n in (30, 120):
@@ -282,9 +281,7 @@ class TestTwoOptExactness:
             state = init_state(inst, softdist(inst, 0.05), MctsParams(time_budget=1.0, seed=n))
             rng = rng_for(n, 0, "restart")
             for _ in range(4):
-                start = construct_tour(state, rng).order
-                got = _two_opt_order(state.d, start)
-                assert np.array_equal(got, _reference_two_opt_order(state.d, start))
+                _two_way(inst, construct_tour(state, rng).order)
 
     @pytest.mark.parametrize("n", [4, 5, 8, 13])
     def test_first_hit_in_the_wrap_around_column(self, n):
@@ -292,24 +289,22 @@ class TestTwoOptExactness:
         # swapped: the only improving pair is (n-3, n-1), whose second edge
         # is the wrap-around edge back to position 0
         angle = 2.0 * np.pi * np.arange(n) / n
-        d = distance_matrix(_inst(0.5 + 0.4 * np.c_[np.cos(angle), np.sin(angle)]))
+        inst = _inst(0.5 + 0.4 * np.c_[np.cos(angle), np.sin(angle)])
         start = np.r_[np.arange(n - 2), n - 1, n - 2]
-        got = _two_opt_order(d, start)
-        assert np.array_equal(got, _reference_two_opt_order(d, start))
-        assert np.array_equal(got, np.arange(n))
+        assert np.array_equal(_two_way(inst, start), np.arange(n))
 
     def test_passed_deadline_stops_after_one_move(self):
         inst = generate_instances(60, 1, seed=3)[0]
-        pts, d = inst.points, distance_matrix(inst)
+        pts = inst.points
         start = rng_for(3, 0, "deadline").permutation(60)
-        got = _two_opt_order(d, start, deadline=time.perf_counter())
+        got = _kopt.two_opt(pts, start, deadline=time.perf_counter())
         assert is_permutation(got, 60)
         assert cycle_length(pts, got) < cycle_length(pts, start)
         # exactly one reversal away from the start
         changed = np.flatnonzero(got != start)
         i, j = changed[0] - 1, changed[-1]
         assert np.array_equal(got[i + 1 : j + 1], start[i + 1 : j + 1][::-1])
-        assert cycle_length(pts, got) > cycle_length(pts, _two_opt_order(d, start))
+        assert cycle_length(pts, got) > cycle_length(pts, _kopt.two_opt(pts, start))
 
 
 class TestBruteForce:

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from bisect import bisect_right
 from collections.abc import Callable
 from itertools import accumulate
@@ -149,6 +150,22 @@ class TestInitState:
         inst = generate_instances(5, 1, seed=0)[0]
         with pytest.raises(ValueError):
             init_state(inst, h, MctsParams(time_budget=1.0))
+
+    def test_no_dense_distance_state(self):
+        # the kernel measures edges from the coordinates, so W and Q are the
+        # only n x n arrays init allocates; a distance matrix and its build
+        # would bring the peak to 6 x 8n^2 bytes
+        n = 1000
+        inst = generate_instances(n, 1, seed=0)[0]
+        h = softdist(inst, default_tau(n))
+        _kopt.load()
+        tracemalloc.start()
+        try:
+            init_state(inst, h, MctsParams(time_budget=600.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 8 * n * n
 
 
 class TestOmega:
@@ -676,6 +693,7 @@ def _construct_order(state: MctsState, rng: np.random.Generator) -> np.ndarray:
     """The oracle of ``kopt_construct`` in ``_kopt.c``: a restart tour by
     the chain rule, as :func:`tsplab.mcts.construct_tour` describes."""
     n = state.n
+    d = distance_matrix(state.instance)
     cand_lists = state.candidates.tolist()
     order = np.empty(n, dtype=np.int64)
     visited = np.zeros(n, dtype=bool)
@@ -690,7 +708,7 @@ def _construct_order(state: MctsState, rng: np.random.Generator) -> np.ndarray:
             u = open_[_pick(potentials(v, open_), rng)]
         else:
             # all candidates used up: hop to the nearest unvisited vertex
-            u = int(np.argmin(np.where(visited, np.inf, state.d[v])))
+            u = int(np.argmin(np.where(visited, np.inf, d[v])))
         order[i] = u
         visited[u] = True
         v = u
@@ -738,7 +756,8 @@ def _sample_action(
 
     pos_of = pos.item
     at = order.item
-    dist = state.d.item
+    # the dense matrix pins the kernel's distances to numpy's bit for bit
+    dist = distance_matrix(state.instance).item
     cand_lists = state.candidates.tolist()
     potentials = _scorer(state)
     b = at(1)
