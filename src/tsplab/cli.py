@@ -27,7 +27,7 @@ from .fileio import (
     write_ref_lengths,
     write_traces,
 )
-from .geometry import brute_force_optimal, generate_instances
+from .geometry import BRUTE_FORCE_MAX_N, brute_force_optimal, generate_instances
 from .mcts import MctsParams, _validated_checkpoints, default_time_budget
 from .tuner import GridSpec, default_tau, grid_search_tau
 
@@ -117,7 +117,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
         return _usage("--method external needs --heatmap")
     if (args.trace is None) != (args.checkpoints is None):
         return _usage("--trace and --checkpoints go together")
-    checkpoints = _parse_floats(args.checkpoints, "--checkpoints") if args.checkpoints else None
+    # an empty list too goes to the checks below, which refuse it
+    checkpoints = (
+        None if args.checkpoints is None else _parse_floats(args.checkpoints, "--checkpoints")
+    )
 
     instances = [inst for inst, _ in parse_instances(args.infile)]
     specs = [_solve_spec(args, inst) for inst in instances]
@@ -198,8 +201,15 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     pairs = parse_instances(args.infile)
+    ids = instance_ids(len(pairs))
+    # an enumeration may take minutes: check every size before the first
+    for iid, (inst, _) in zip(ids, pairs):
+        if inst.n > BRUTE_FORCE_MAX_N:
+            raise ValueError(
+                f"instance {iid}: brute force supports n <= {BRUTE_FORCE_MAX_N}, got {inst.n}"
+            )
     refs = {}
-    for iid, (inst, _) in zip(instance_ids(len(pairs)), pairs):
+    for iid, (inst, _) in zip(ids, pairs):
         _tour, length = brute_force_optimal(inst)
         refs[iid] = length
         print(f"instance {iid}: optimal length {length:.6f}")

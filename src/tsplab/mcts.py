@@ -49,15 +49,10 @@ from . import _kopt
 from .geometry import (
     TspInstance,
     Tour,
-    _require_tour,
     cycle_length,
     rng_for,
 )
 from .heatmap import candidate_sets, validate_heatmap
-
-
-class InvalidActionError(ValueError):
-    """A k-opt action does not fit the tour it was applied to."""
 
 
 @dataclass
@@ -115,10 +110,6 @@ def default_time_budget(n: int, profile: str = "default") -> float:
     raise ValueError(f"unknown budget profile: {profile!r}")
 
 
-def _edge(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
-
-
 @dataclass(frozen=True)
 class KoptAction:
     """Vertex sequence ``(a1, b1, a2, b2, ..., ak, bk, a1)``.
@@ -133,30 +124,9 @@ class KoptAction:
     def k(self) -> int:
         return (len(self.vertices) - 1) // 2
 
-    def deleted_edges(self) -> list[tuple[int, int]]:
-        v = self.vertices
-        return [(v[2 * i], v[2 * i + 1]) for i in range(self.k)]
-
     def added_edges(self) -> list[tuple[int, int]]:
         v = self.vertices
         return [(v[2 * i + 1], v[2 * i + 2]) for i in range(self.k)]
-
-    def validate(self, n: int | None = None) -> None:
-        v = self.vertices
-        if len(v) < 5 or len(v) % 2 == 0:
-            raise InvalidActionError("action must be (a1, b1, ..., ak, bk, a1) with k >= 2")
-        if v[0] != v[-1]:
-            raise InvalidActionError("action must close at its anchor vertex")
-        if n is not None and any(not 0 <= x < n for x in v):
-            raise InvalidActionError("action vertex out of range")
-        dels = {_edge(u, w) for u, w in self.deleted_edges()}
-        adds = {_edge(u, w) for u, w in self.added_edges()}
-        if any(u == w for u, w in self.deleted_edges() + self.added_edges()):
-            raise InvalidActionError("action contains a self-loop edge")
-        if len(dels) != self.k or len(adds) != self.k:
-            raise InvalidActionError("action repeats an edge")
-        if dels & adds:
-            raise InvalidActionError("action adds an edge it also deletes")
 
 
 @dataclass
@@ -320,34 +290,6 @@ def sample_kopt(state: MctsState, rng: np.random.Generator) -> KoptAction | None
     return None if sample is None else sample[0]
 
 
-def apply_kopt(instance: TspInstance, tour: Tour, action: KoptAction) -> Tour:
-    """Apply ``action`` to ``tour`` by replaying its segment reversals.
-
-    The action must fit the tour's current orientation: ``b1`` must be the
-    successor of ``a1``, and each later ``b_i`` the predecessor of ``a_i``
-    at its step.  Raises :class:`InvalidActionError` otherwise.
-    """
-    _require_tour(instance, tour)
-    action.validate(n=instance.n)
-    seq = action.vertices
-    base = tour.order
-    n = base.shape[0]
-    i0 = int(np.nonzero(base == seq[0])[0][0])
-    order = np.concatenate([base[i0:], base[:i0]])
-    pos = np.empty(n, dtype=np.int64)
-    pos[order] = np.arange(n)
-    if int(order[1]) != seq[1]:
-        raise InvalidActionError("b1 is not the tour successor of the anchor a1")
-    for i in range(1, action.k):
-        c, bn = seq[2 * i], seq[2 * i + 1]
-        j = int(pos[c])
-        if j < 2 or int(order[j - 1]) != bn:
-            raise InvalidActionError(f"edge ({c}, {bn}) is not deletable at step {i + 1}")
-        order[1:j] = order[1:j][::-1]
-        pos[order[1:j]] = np.arange(1, j)
-    return Tour(order)
-
-
 def backpropagate(state: MctsState, c_old: float, c_new: float, action: KoptAction) -> None:
     """Reward the edges an improving action added.
 
@@ -396,7 +338,9 @@ def mcts_solve(
     initial and restart 2-opt, which stop with a partly polished tour when
     it runs out.  With ``checkpoints`` given, the result carries a
     ``(time, best_length)`` trace with one entry per checkpoint; the series
-    is non-increasing and ends at the returned best length.
+    is non-increasing and ends at the returned best length, unless
+    ``params.max_actions`` stops the search after the last checkpoint:
+    improvements found after it are in the result but not in the trace.
     """
     cps = _validated_checkpoints(checkpoints, params.time_budget)
     # the first solve of a process builds the kernel: not on the budget

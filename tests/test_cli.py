@@ -281,6 +281,21 @@ class TestSolveCmd:
         )
 
 
+    def test_empty_checkpoints_fail_before_any_solve(self, tmp_path, capsys, monkeypatch):
+        src = _gen(tmp_path, count=2)
+        trace = tmp_path / "t.csv"
+        monkeypatch.setattr(cli, "run_single", _no_solve)
+        capsys.readouterr()
+        assert main(["solve", "--in", str(src), "--budget", "0.05",
+                     "--trace", str(trace), "--checkpoints", ""]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: instance 0 (budget 0.05s): checkpoints must be non-empty when given\n"
+        )
+        assert not trace.exists()
+
+
 class TestTuneCmd:
     def test_small_grid_run(self, tmp_path, capsys):
         src = _gen(tmp_path, count=2)
@@ -518,11 +533,21 @@ class TestOracleCmd:
             _, opt = brute_force_optimal(inst)
             assert refs[str(i)] == opt
 
-    def test_rejects_large_instances(self, tmp_path, capsys):
+    def test_rejects_large_instances(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "big.txt"
         write_instances(path, generate_instances(13, 1, seed=0))
         assert main(["oracle", "--in", str(path)]) == 1
         assert "error:" in capsys.readouterr().err
+        # a batch is refused before its first enumeration, naming the instance
+        mixed = tmp_path / "mixed.txt"
+        write_instances(mixed, generate_instances(5, 1, seed=0) + generate_instances(13, 1, 1))
+        out = tmp_path / "refs.csv"
+        monkeypatch.setattr(cli, "brute_force_optimal", _no_solve)
+        assert main(["oracle", "--in", str(mixed), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "optimal length" not in captured.out
+        assert captured.err == "error: instance 1: brute force supports n <= 12, got 13\n"
+        assert not out.exists()
 
 
 class TestRuntimeErrors:

@@ -31,11 +31,9 @@ from tsplab.geometry import (
 )
 from tsplab.heatmap import softdist, zeros_heatmap
 from tsplab.mcts import (
-    InvalidActionError,
     KoptAction,
     MctsParams,
     MctsState,
-    apply_kopt,
     backpropagate,
     construct_tour,
     default_time_budget,
@@ -46,6 +44,8 @@ from tsplab.mcts import (
     sample_kopt,
 )
 from tsplab.tuner import default_tau
+
+from kopt_oracle import InvalidActionError, apply_kopt, deleted_edges, validate
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -359,7 +359,7 @@ class TestSampleKopt:
             if action is None:
                 continue
             seen += 1
-            action.validate(n=15)
+            validate(action, n=15)
             assert 2 <= action.k <= 4
         assert seen > 50
 
@@ -418,7 +418,7 @@ class TestApplyKopt:
                     continue
                 new_len = tour_length(inst, apply_kopt(inst, base, action))
                 delta = sum(d[u, v] for u, v in action.added_edges()) - sum(
-                    d[u, v] for u, v in action.deleted_edges()
+                    d[u, v] for u, v in deleted_edges(action)
                 )
                 assert abs((new_len - base_len) - delta) < 1e-9
                 checked += 1
@@ -429,21 +429,26 @@ class TestApplyKopt:
         order = np.arange(6)
         # b1=2 is not the successor of a1=0 on the identity tour
         action = KoptAction((0, 2, 4, 3, 0))
-        with pytest.raises(InvalidActionError):
+        with pytest.raises(InvalidActionError, match="b1 is not the tour successor"):
             apply_kopt(inst, Tour(order), action)
+        # b2=5 is the successor of a2=4, not its predecessor
+        with pytest.raises(InvalidActionError, match=r"edge \(4, 5\) is not deletable at step 2"):
+            apply_kopt(inst, Tour(order), KoptAction((0, 1, 4, 5, 0)))
 
     def test_action_validation(self):
-        with pytest.raises(InvalidActionError):
-            KoptAction((0, 1, 2, 3)).validate()  # even length
-        with pytest.raises(InvalidActionError):
-            KoptAction((0, 1, 2, 3, 4)).validate()  # does not close
-        with pytest.raises(InvalidActionError):
-            KoptAction((0, 0, 2, 3, 0)).validate()  # self-loop edge
-        with pytest.raises(InvalidActionError):
-            KoptAction((0, 1, 0, 1, 0)).validate()  # repeated edge
-        with pytest.raises(InvalidActionError):
-            KoptAction((0, 1, 3, 1, 0)).validate()  # adds an edge it deletes
-        KoptAction((0, 1, 3, 2, 0)).validate(n=4)
+        with pytest.raises(InvalidActionError, match="with k >= 2"):
+            validate(KoptAction((0, 1, 2, 3)))  # even length
+        with pytest.raises(InvalidActionError, match="close at its anchor"):
+            validate(KoptAction((0, 1, 2, 3, 4)))  # does not close
+        with pytest.raises(InvalidActionError, match="out of range"):
+            validate(KoptAction((0, 1, 3, 4, 0)), n=4)
+        with pytest.raises(InvalidActionError, match="self-loop"):
+            validate(KoptAction((0, 0, 2, 3, 0)))
+        with pytest.raises(InvalidActionError, match="repeats an edge"):
+            validate(KoptAction((0, 1, 0, 1, 0)))
+        with pytest.raises(InvalidActionError, match="adds an edge it also deletes"):
+            validate(KoptAction((0, 1, 3, 1, 0)))
+        validate(KoptAction((0, 1, 3, 2, 0)), n=4)
 
 
 class TestBackpropagate:
