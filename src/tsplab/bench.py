@@ -13,10 +13,11 @@ import json
 import struct
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, fields, replace
 from hashlib import blake2b
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -316,6 +317,35 @@ def run_single(
     )
 
 
+@contextmanager
+def worker_map(workers: int, tasks: int) -> Iterator[Callable]:
+    """A ``map`` over at most ``workers`` processes for batches of up to
+    ``tasks`` solves, open for the ``with`` block.
+
+    When ``min(workers, tasks)`` is 1 it is the builtin ``map`` and nothing
+    is forked.  Otherwise one pool of ``min(workers, tasks)``
+    processes serves every batch sent in the block, one task at a time, and
+    each batch's results come back in input order.
+
+    Raises ``ValueError`` when ``tasks`` or ``workers`` is below 1.
+    """
+    if tasks < 1:
+        raise ValueError("instance list must be non-empty")
+    if workers < 1:
+        raise ValueError("workers must be at least 1")
+    workers = min(workers, tasks)
+    if workers == 1:
+        yield map
+        return
+    # forked workers inherit what is loaded here instead of each loading it on
+    # its first solve: the sampler kernel, and numpy.random, which numpy
+    # imports only on first use
+    _kopt.load()
+    import numpy.random  # noqa: F401
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield pool.map
+
+
 def run_bench(
     instances: list[TspInstance],
     spec: MctsRunSpec,
@@ -324,26 +354,17 @@ def run_bench(
 ) -> list[RunRecord]:
     """Solve every instance under ``spec``; records come back in input order.
 
-    Instance ids come from :func:`instance_ids`.  Each solve is
+    Instance ids come from :func:`instance_ids`.  :meth:`MctsRunSpec.check_batch`
+    runs first; then the batch goes through :func:`worker_map`, so at most
+    ``min(workers, len(instances))`` processes are forked.  Each solve is
     single-threaded and seeded from the instance content, so results do not
     depend on ``workers``.
     """
-    if not instances:
-        raise ValueError("instance list must be non-empty")
-    if workers < 1:
-        raise ValueError("workers must be at least 1")
     n = len(instances)
     spec.check_batch(instances)
-    args = (instances, [spec] * n, instance_ids(n), [checkpoints] * n)
-    if workers == 1 or n == 1:
-        return list(map(run_single, *args))
-    # forked workers inherit what is loaded here instead of each loading it on
-    # its first solve: the sampler kernel, and numpy.random, which numpy
-    # imports only on first use
-    _kopt.load()
-    import numpy.random  # noqa: F401
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_single, *args))
+    with worker_map(workers, n) as solve_map:
+        return list(solve_map(run_single, instances, [spec] * n, instance_ids(n),
+                              [checkpoints] * n))
 
 
 def aggregate(

@@ -311,6 +311,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code) if e.code is not None else 0
+    if getattr(args, "workers", 1) < 1:  # tune and bench, before any file is read
+        return _usage("--workers must be at least 1")
     try:
         return args.func(args)
     except (ValueError, OSError) as e:

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
-from .bench import MctsRunSpec, run_bench
+from .bench import MctsRunSpec, instance_ids, run_single, worker_map
 from .geometry import TspInstance
 from .mcts import MctsParams
 
@@ -55,20 +56,36 @@ class TuneResult:
     table: tuple[tuple[float, float], ...]  # (tau, mean length), sorted by tau
 
 
+def _stage_means(
+    instances: list[TspInstance], taus: list[float], params: MctsParams, solve_map: Callable
+) -> list[float]:
+    """Mean searched length over ``instances`` at each of ``taus``, in order.
+
+    Every (temperature, instance) solve goes to ``solve_map`` (a
+    :func:`~tsplab.bench.worker_map`) as one batch.
+    """
+    n = len(instances)
+    specs = [MctsRunSpec(method="softdist", params=params, tau=tau) for tau in taus]
+    records = list(solve_map(run_single, instances * len(taus),
+                             [spec for spec in specs for _ in range(n)],
+                             instance_ids(n) * len(taus)))
+    return [float(np.sort(np.array([r.length for r in records[i:i + n]])).mean())
+            for i in range(0, len(records), n)]
+
+
 def evaluate_tau(
     instances: list[TspInstance], tau: float, params: MctsParams, workers: int = 1
 ) -> float:
-    """Mean searched length over ``instances`` at temperature ``tau``.
+    """Mean searched length over ``instances`` at temperature ``tau``: one
+    stage of :func:`grid_search_tau` with a single temperature, over at most
+    ``min(workers, len(instances))`` processes.
 
     Per-instance seeds key off instance content, and lengths are summed in
     sorted order, so the result is invariant to instance-list permutation
     and to the worker count.
     """
-    records = run_bench(
-        list(instances), MctsRunSpec(method="softdist", params=params, tau=tau), workers=workers
-    )
-    lengths = np.sort(np.array([r.length for r in records]))
-    return float(lengths.mean())
+    with worker_map(workers, len(instances)) as solve_map:
+        return _stage_means(instances, [tau], params, solve_map)[0]
 
 
 def grid_search_tau(
@@ -82,25 +99,30 @@ def grid_search_tau(
     Every evaluated temperature appears in the result table exactly once
     (refine points that repeat a coarse point are not re-run).  Ties on the
     objective break toward the smaller temperature.
+
+    One :func:`~tsplab.bench.worker_map` serves the whole search, so at most
+    one pool of at most ``min(workers, coarse solves)`` processes is forked.
+    Each stage is one batch: every coarse temperature over every instance,
+    then every new refine temperature.  The table is the same at any worker
+    count (see :func:`evaluate_tau`).
     """
     if grid is None:
         grid = default_grid()
     evals: dict[float, float] = {}
 
-    def run(tau: float) -> None:
-        key = round(tau, 10)
-        if key not in evals:
-            evals[key] = evaluate_tau(instances, key, params, workers)
+    with worker_map(workers, len(grid.coarse) * len(instances)) as solve_map:
 
-    for tau in grid.coarse:
-        run(tau)
-    best_coarse = min(evals.items(), key=lambda kv: (kv[1], kv[0]))[0]
+        def run(stage) -> None:
+            # the stage's temperatures not yet in the table, each once
+            keys = list(dict.fromkeys(k for k in (round(t, 10) for t in stage) if k not in evals))
+            evals.update(zip(keys, _stage_means(instances, keys, params, solve_map)))
 
-    steps = int(math.floor(grid.refine_radius / grid.refine_step + 1e-9))
-    for i in range(-steps, steps + 1):
-        tau = best_coarse + i * grid.refine_step
-        if tau > 0.0:
-            run(tau)
+        run(grid.coarse)
+        best_coarse = min(evals.items(), key=lambda kv: (kv[1], kv[0]))[0]
+
+        steps = int(math.floor(grid.refine_radius / grid.refine_step + 1e-9))
+        refine = [best_coarse + i * grid.refine_step for i in range(-steps, steps + 1)]
+        run([tau for tau in refine if tau > 0.0])
 
     best_tau = min(evals.items(), key=lambda kv: (kv[1], kv[0]))[0]
     return TuneResult(best_tau=best_tau, table=tuple(sorted(evals.items())))

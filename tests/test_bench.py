@@ -195,31 +195,50 @@ class TestRunBench:
     def test_pool_forks_after_what_workers_need_is_loaded(self):
         # so that each worker inherits the sampler kernel and numpy.random
         # instead of loading them on its first solve; numpy imports
-        # numpy.random lazily, so only a fresh interpreter shows it
-        code = "\n".join([
-            "import sys",
-            "import numpy as np",
-            "from tsplab import _kopt, bench",
-            "from tsplab.geometry import TspInstance",
-            "from tsplab.mcts import MctsParams",
-            "assert _kopt._kernel is None and 'numpy.random' not in sys.modules",
-            "real, seen = bench.ProcessPoolExecutor, []",
-            "def pool(*args, **kwargs):",
-            "    seen.append((_kopt._kernel is not None, 'numpy.random' in sys.modules))",
-            "    return real(*args, **kwargs)",
-            "bench.ProcessPoolExecutor = pool",
-            "t = np.linspace(0.0, 6.0, 8)",
-            "insts = [TspInstance(np.c_[0.5 + r * np.cos(t), 0.5 + r * np.sin(t)])"
-            " for r in (0.3, 0.4)]",
-            "spec = bench.MctsRunSpec(method='zeros', "
-            "params=MctsParams(time_budget=10.0, max_actions=20))",
+        # numpy.random lazily, so only a fresh interpreter shows it.  One
+        # interpreter per path: a batch solve, and a whole grid search.
+        for call in (
             "bench.run_bench(insts, spec, workers=2)",
-            "assert seen == [(True, True)], seen",
-        ])
-        env = dict(os.environ, PYTHONPATH=str(Path(bench.__file__).resolve().parents[1]))
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                              text=True, timeout=120)
-        assert done.returncode == 0, done.stderr
+            "tuner.grid_search_tau(insts, spec.params, tuner.GridSpec((0.01, 0.02), "
+            "refine_radius=0.01, refine_step=0.005), workers=2)",
+        ):
+            code = "\n".join([
+                "import sys",
+                "import numpy as np",
+                "from tsplab import _kopt, bench, tuner",
+                "from tsplab.geometry import TspInstance",
+                "from tsplab.mcts import MctsParams",
+                "assert _kopt._kernel is None and 'numpy.random' not in sys.modules",
+                "real, seen = bench.ProcessPoolExecutor, []",
+                "def pool(*args, **kwargs):",
+                "    seen.append((_kopt._kernel is not None, 'numpy.random' in sys.modules))",
+                "    return real(*args, **kwargs)",
+                "bench.ProcessPoolExecutor = pool",
+                "t = np.linspace(0.0, 6.0, 8)",
+                "insts = [TspInstance(np.c_[0.5 + r * np.cos(t), 0.5 + r * np.sin(t)])"
+                " for r in (0.3, 0.4)]",
+                "spec = bench.MctsRunSpec(method='zeros', "
+                "params=MctsParams(time_budget=10.0, max_actions=20))",
+                call,
+                "assert seen == [(True, True)], seen",
+            ])
+            env = dict(os.environ, PYTHONPATH=str(Path(bench.__file__).resolve().parents[1]))
+            done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                  text=True, timeout=120)
+            assert done.returncode == 0, (call, done.stderr)
+
+    def test_never_forks_more_workers_than_solves(self, pool_sizes):
+        instances = generate_instances(6, 3, seed=38)
+        spec = MctsRunSpec(method="zeros", params=MctsParams(time_budget=10.0, max_actions=20))
+        records = run_bench(instances, spec, workers=8)
+        assert pool_sizes == [3]
+        assert [r.length for r in records] == [r.length for r in run_bench(instances, spec)]
+
+    def test_one_solve_or_one_worker_forks_no_pool(self, pool_sizes):
+        spec = MctsRunSpec(method="zeros", params=MctsParams(time_budget=10.0, max_actions=20))
+        run_bench(generate_instances(6, 1, seed=39), spec, workers=4)
+        run_bench(generate_instances(6, 3, seed=39), spec, workers=1)
+        assert pool_sizes == []
 
     def test_external_directory_matches_in_memory_softdist(self, tmp_path):
         instances = generate_instances(8, 3, seed=35)
@@ -280,6 +299,19 @@ class TestRunBench:
         with pytest.raises(error, match=re.escape(match)) as info:
             run_bench(instances, spec)
         assert str(bad) in str(info.value)
+
+    def test_refused_batch_loads_no_kernel_and_forks_no_pool(self, tmp_path, monkeypatch,
+                                                            pool_sizes):
+        # the batch check comes before the pre-fork load, which may build the kernel
+        loads = []
+        monkeypatch.setattr(bench._kopt, "load", lambda: loads.append(True))
+        spec = MctsRunSpec(
+            method="external", params=MctsParams(time_budget=10.0, max_actions=40),
+            heatmap_path=str(tmp_path / "missing"),
+        )
+        with pytest.raises(ValueError, match="not a directory"):
+            run_bench(generate_instances(6, 3, seed=36), spec, workers=2)
+        assert loads == [] and pool_sizes == []
 
     def test_external_size_mismatch_names_the_file(self, tmp_path):
         inst = generate_instances(6, 1, seed=36)[0]

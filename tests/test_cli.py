@@ -323,6 +323,21 @@ class TestTuneCmd:
         assert manifest["command"] == "tune"
 
 
+@pytest.mark.parametrize("workers", ["0", "-2"])
+@pytest.mark.parametrize("command", [
+    ["tune", "--budget", "10"],
+    ["bench", "--spec", "spec.json", "--refs", "refs.csv"],
+], ids=["tune", "bench"])
+def test_workers_below_one_is_a_usage_error(tmp_path, capsys, monkeypatch, command, workers):
+    # refused before any file is read: none of the named files exists
+    monkeypatch.chdir(tmp_path)
+    argv = command[:1] + ["--in", "instances.txt", "--workers", workers] + command[1:]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "usage error: --workers must be at least 1\n"
+    assert captured.out == ""
+
+
 class TestBenchCmd:
     def _setup(self, tmp_path, count=3):
         src = _gen(tmp_path, n=6, count=count)

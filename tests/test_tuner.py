@@ -86,18 +86,22 @@ class TestGridSpec:
 
 
 def _stub_evaluator(table, default=99.0):
-    def stub(instances, tau, params, workers=1):
-        return table.get(round(tau, 10), default)
+    def stub(instances, taus, params, solve_map):
+        return [table.get(round(tau, 10), default) for tau in taus]
 
     return stub
+
+
+# the stubbed stage evaluator solves nothing, but the search refuses an empty batch
+_BATCH = generate_instances(5, 1, seed=0)
 
 
 class TestGridSearchStubbed:
     def test_coarse_winner_survives_flat_refinement(self, monkeypatch):
         table = {0.0010: 52.47558, 0.0070: 16.78133, 0.0100: 16.79291}
-        monkeypatch.setattr("tsplab.tuner.evaluate_tau", _stub_evaluator(table))
+        monkeypatch.setattr("tsplab.tuner._stage_means", _stub_evaluator(table))
         grid = GridSpec(coarse=(0.0010, 0.0070, 0.0100), refine_radius=0.0002, refine_step=0.0001)
-        result = grid_search_tau([], MctsParams(time_budget=1.0), grid=grid)
+        result = grid_search_tau(_BATCH, MctsParams(time_budget=1.0), grid=grid)
         assert result.best_tau == 0.0070
         taus = [t for t, _ in result.table]
         assert taus == sorted(taus)
@@ -110,38 +114,38 @@ class TestGridSearchStubbed:
             0.0100: 16.79291,
             0.0066: 16.78020,
         }
-        monkeypatch.setattr("tsplab.tuner.evaluate_tau", _stub_evaluator(table))
+        monkeypatch.setattr("tsplab.tuner._stage_means", _stub_evaluator(table))
         grid = GridSpec(coarse=(0.0010, 0.0070, 0.0100), refine_radius=0.0010, refine_step=0.0001)
-        result = grid_search_tau([], MctsParams(time_budget=1.0), grid=grid)
+        result = grid_search_tau(_BATCH, MctsParams(time_budget=1.0), grid=grid)
         assert result.best_tau == 0.0066
         assert dict(result.table)[0.0066] == 16.78020
 
     def test_ties_break_toward_smaller_tau(self, monkeypatch):
         monkeypatch.setattr(
-            "tsplab.tuner.evaluate_tau", _stub_evaluator({0.002: 5.0, 0.004: 5.0}, default=9.0)
+            "tsplab.tuner._stage_means", _stub_evaluator({0.002: 5.0, 0.004: 5.0}, default=9.0)
         )
         grid = GridSpec(coarse=(0.002, 0.004), refine_radius=0.0002, refine_step=0.0001)
-        result = grid_search_tau([], MctsParams(time_budget=1.0), grid=grid)
+        result = grid_search_tau(_BATCH, MctsParams(time_budget=1.0), grid=grid)
         assert result.best_tau == 0.002
 
     def test_best_is_the_table_argmin(self, monkeypatch):
         table = {0.001: 8.0, 0.003: 7.5, 0.005: 7.9}
-        monkeypatch.setattr("tsplab.tuner.evaluate_tau", _stub_evaluator(table, default=7.7))
+        monkeypatch.setattr("tsplab.tuner._stage_means", _stub_evaluator(table, default=7.7))
         grid = GridSpec(coarse=(0.001, 0.003, 0.005), refine_radius=0.0004, refine_step=0.0002)
-        result = grid_search_tau([], MctsParams(time_budget=1.0), grid=grid)
+        result = grid_search_tau(_BATCH, MctsParams(time_budget=1.0), grid=grid)
         values = dict(result.table)
         assert values[result.best_tau] == min(values.values())
 
     def test_refine_points_stay_positive(self, monkeypatch):
         seen = []
 
-        def stub(instances, tau, params, workers=1):
-            seen.append(tau)
-            return 1.0 if tau > 0.0015 else 0.5
+        def stub(instances, taus, params, solve_map):
+            seen.extend(taus)
+            return [1.0 if tau > 0.0015 else 0.5 for tau in taus]
 
-        monkeypatch.setattr("tsplab.tuner.evaluate_tau", stub)
+        monkeypatch.setattr("tsplab.tuner._stage_means", stub)
         grid = GridSpec(coarse=(0.0001, 0.01), refine_radius=0.0005, refine_step=0.0002)
-        grid_search_tau([], MctsParams(time_budget=1.0), grid=grid)
+        grid_search_tau(_BATCH, MctsParams(time_budget=1.0), grid=grid)
         assert all(t > 0.0 for t in seen)
 
 
@@ -192,3 +196,56 @@ class TestGridSearchIntegration:
         assert a.best_tau in values
         assert values[a.best_tau] == min(values.values())
         assert all(math.isfinite(v) and v > 0.0 for v in values.values())
+
+
+class TestGridSearchDispatch:
+    # coarse winner 0.01 or 0.02: either way the refine stage (best +- 0.01
+    # by 0.005) repeats the other coarse point, which is not solved again
+    GRID = GridSpec(coarse=(0.01, 0.02), refine_radius=0.01, refine_step=0.005)
+
+    def _batch(self):
+        return generate_instances(8, 3, seed=25), MctsParams(time_budget=10.0, seed=2,
+                                                              max_actions=120)
+
+    def test_worker_count_does_not_change_the_result(self, pool_sizes):
+        instances, params = self._batch()
+        serial = grid_search_tau(instances, params, grid=self.GRID, workers=1)
+        parallel = grid_search_tau(instances, params, grid=self.GRID, workers=2)
+        assert pool_sizes == [2]
+        assert parallel == serial
+        # the refine stage's five points hold both coarse points, or one and 0.0
+        assert {0.01, 0.015, 0.02} <= {t for t, _ in serial.table}
+        assert len(serial.table) in (4, 5)
+
+    def test_table_matches_evaluate_tau(self):
+        instances, params = self._batch()
+        result = grid_search_tau(instances, params, grid=self.GRID, workers=2)
+        for tau, mean in result.table:
+            assert evaluate_tau(instances, tau, params) == mean
+
+    @pytest.mark.parametrize("grid", [
+        GRID,
+        GridSpec(coarse=(0.005, 0.01, 0.02, 0.04), refine_radius=0.004, refine_step=0.002),
+    ], ids=["2-coarse", "4-coarse"])
+    def test_one_pool_per_search(self, pool_sizes, grid):
+        instances, params = self._batch()
+        grid_search_tau(instances, replace(params, max_actions=20), grid=grid, workers=2)
+        assert pool_sizes == [2]
+
+    def test_one_worker_forks_no_pool(self, pool_sizes):
+        instances, params = self._batch()
+        grid_search_tau(instances, replace(params, max_actions=20), grid=self.GRID)
+        assert pool_sizes == []
+
+    def test_never_forks_more_workers_than_coarse_solves(self, pool_sizes):
+        instances, params = self._batch()
+        grid_search_tau(instances, replace(params, max_actions=20), grid=self.GRID, workers=8)
+        assert pool_sizes == [6]
+
+    def test_bad_batch_fails_before_any_pool(self, pool_sizes):
+        instances, params = self._batch()
+        with pytest.raises(ValueError, match="instance list must be non-empty"):
+            grid_search_tau([], params, grid=self.GRID, workers=2)
+        with pytest.raises(ValueError, match="workers must be at least 1"):
+            grid_search_tau(instances, params, grid=self.GRID, workers=0)
+        assert pool_sizes == []
