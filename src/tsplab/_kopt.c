@@ -34,8 +34,9 @@ typedef struct {
 } bitgen_t;
 
 /* What one MctsState shares with the kernel: the pointers fixed for its
- * life, then the counters of a kopt_run call.  Mirrored by
- * tsplab._kopt._Context; keep the two in the same order. */
+ * life (its arrays, then from cur_pos on the kernel's own scratch, which
+ * tsplab._kopt.bind allocates), then the counters of a kopt_run call.
+ * Mirrored by tsplab._kopt._Context; keep the two in the same order. */
 typedef struct {
     int64_t n;
     int64_t kc;             /* candidates per vertex */
@@ -47,7 +48,7 @@ typedef struct {
     const double *row_sums; /* n */
     const int64_t *cand;    /* n x kc candidate lists */
     const int64_t *current; /* n, the working tour */
-    const int64_t *cur_pos; /* n, position of each vertex in current */
+    int64_t *cur_pos;       /* n, position of each vertex in current, set by kopt_run */
     int64_t *order;         /* n, the sampled tour */
     int64_t *pos;           /* n, position of each vertex in order */
     int64_t *seq;           /* 2 * max_depth + 1, the action */
@@ -296,13 +297,16 @@ static double seconds_since(const struct timespec *t0)
  * Every other sample is a fail: a dead end, or an action no shorter than
  * the working tour.  On every event c->count, c->length, c->seq and
  * c->order hold the last sample of the call; c->count is 0 when the call
- * drew none or its last was a dead end.  The clock is the kernel's own, so
- * it need not agree with the caller's. */
+ * drew none or its last was a dead end.  Entry indexes c->current into
+ * c->cur_pos, so current may change between calls.  The clock is the
+ * kernel's own, so it need not agree with the caller's. */
 int64_t kopt_run(kopt_ctx *c, bitgen_t *bg)
 {
     struct timespec t0;
 
     clock_gettime(CLOCK_MONOTONIC, &t0);
+    for (int64_t t = 0; t < c->n; t++)
+        c->cur_pos[c->current[t]] = t;
     c->count = 0;
     for (;;) {
         if (c->M >= c->max_actions)

@@ -192,19 +192,20 @@ def two_opt(points: np.ndarray, order, deadline: float | None = None) -> np.ndar
 
 
 def bind(state):
-    """``(run, construct, seq)`` for ``state``.
+    """``(run, construct)`` for ``state``, over the kernel's own working
+    memory: the sampled tour, the positions, the action and the pick buffers.
 
     ``run(state, rng, fails, stagnation, max_actions, seconds)`` samples
-    until an event (see ``kopt_run``) and returns ``(event, fails, count,
-    length)``, with ``count`` and ``length`` those of the last sample of the
-    call: its vertex count in ``seq``, or 0 when the call drew none or its
-    last was a dead end, and the closed length of ``state._scratch``.  It
-    counts its actions in ``state.M``.  ``max_actions`` of ``None`` means no
-    cap.
+    until an event (see ``kopt_run``) and returns ``(event, fails,
+    sample)``, with ``sample`` the call's last sample as ``(vertices,
+    order, length)``: the action's vertex tuple, the tour it leaves and that
+    tour's closed length; ``None`` when the call drew none or its last was a
+    dead end.  It counts its actions in ``state.M``.  ``max_actions`` of
+    ``None`` means no cap.
 
     ``construct(state, rng)`` builds a restart tour at ``state.M`` (see
-    ``kopt_construct``) and returns it in ``state._scratch``, which the
-    next ``run`` or ``construct`` overwrites.
+    ``kopt_construct``).  Both return tours in one buffer, which the next
+    ``run`` or ``construct`` overwrites.
 
     The state's arrays must not be replaced while ``run`` lives:
     ``MctsState._set_current`` rewrites ``current`` in place for that
@@ -217,9 +218,10 @@ def bind(state):
     depth = min(state.params.max_depth, n)
     kc = state.candidates.shape[1]
     i64, f64 = np.int64, np.float64
-    seq = np.empty(2 * depth + 1, dtype=i64)
-    scratch = (seq, np.empty(depth, dtype=i64), np.empty(depth, dtype=i64),
-               np.empty(kc, dtype=i64), np.empty(kc, dtype=f64))
+    # cur_pos, order, pos, seq, deleted, added and feasible, then cum, as in kopt_ctx
+    scratch = (*(np.empty(s, dtype=i64) for s in (n, n, n, 2 * depth + 1, depth, depth, kc)),
+               np.empty(kc, dtype=f64))
+    order, seq = scratch[1], scratch[3]
     ctx = _Context(
         n, kc, depth, state.params.alpha,
         _address(state.instance.points, f64, (n, 2)),
@@ -228,9 +230,6 @@ def bind(state):
         _address(state._row_sums, f64, (n,)),
         _address(state.candidates, i64, (n, kc)),
         _address(state.current, i64, (n,)),
-        _address(state._cur_pos, i64, (n,)),
-        _address(state._scratch, i64, (n,)),
-        _address(state._pos, i64, (n,)),
         *(a.ctypes.data for a in scratch),
     )
     addr = ctypes.addressof(ctx)
@@ -238,7 +237,7 @@ def bind(state):
 
     # the generator is read on every call: callers may pass a new one
     def run(state, rng: np.random.Generator, fails: int, stagnation: int,
-            max_actions: int | None, seconds: float) -> tuple[int, int, int, float]:
+            max_actions: int | None, seconds: float) -> tuple[int, int, tuple | None]:
         ctx.M = state.M
         ctx.fails = fails
         # ctypes would wrap larger ints; no count can reach 2**63 - 1
@@ -248,13 +247,15 @@ def bind(state):
         ctx.seconds = seconds
         event = kopt_run(addr, rng.bit_generator.ctypes.bit_generator)
         state.M = ctx.M
-        return event, ctx.fails, ctx.count, ctx.length
+        count = ctx.count
+        sample = (tuple(seq[:count].tolist()), order, ctx.length) if count else None
+        return event, ctx.fails, sample
 
     def construct(state, rng: np.random.Generator) -> np.ndarray:
         ctx.M = state.M
         kopt_construct(addr, rng.bit_generator.ctypes.bit_generator)
-        return state._scratch
+        return order
 
     # the kernel holds their addresses; run and construct themselves hold ctx
     run.buffers = construct.buffers = scratch
-    return run, construct, seq
+    return run, construct

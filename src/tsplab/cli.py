@@ -32,6 +32,14 @@ from .mcts import MctsParams, _validated_checkpoints, default_time_budget
 from .tuner import GridSpec, default_tau, grid_search_tau
 
 
+# the path options, by dest: an empty one would name the working directory
+_PATH_FLAGS = {
+    "infile": "--in", "spec": "--spec", "heatmap": "--heatmap", "out": "--out",
+    "trace": "--trace", "refs": "--refs", "lengths": "--lengths",
+    "reference_lengths": "--lkh-refs",
+}
+
+
 def _usage(msg: str) -> int:
     print(f"usage error: {msg}", file=sys.stderr)
     return 2
@@ -51,7 +59,7 @@ def _wrote(args: argparse.Namespace, command: str, what: str, **extra) -> None:
 
 def _write_out(args: argparse.Namespace, command: str, text: str, what: str, **extra) -> None:
     """Write ``text`` to ``--out`` with its manifest, or else to stdout."""
-    if args.out:
+    if args.out is not None:
         Path(args.out).write_text(text)
         _wrote(args, command, f"{what} to {args.out}", **extra)
     else:
@@ -110,10 +118,10 @@ def _solve_spec(args: argparse.Namespace, inst) -> MctsRunSpec:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    if args.heatmap and args.method not in (None, "external"):
+    if args.heatmap is not None and args.method not in (None, "external"):
         return _usage("--heatmap implies --method external")
-    args.method = args.method or ("external" if args.heatmap else "softdist")
-    if args.method == "external" and not args.heatmap:
+    args.method = args.method or ("external" if args.heatmap is not None else "softdist")
+    if args.method == "external" and args.heatmap is None:
         return _usage("--method external needs --heatmap")
     if (args.trace is None) != (args.checkpoints is None):
         return _usage("--trace and --checkpoints go together")
@@ -137,10 +145,10 @@ def cmd_solve(args: argparse.Namespace) -> int:
         rec = run_single(inst, spec, iid, checkpoints)
         records.append(rec)
         print(f"instance {rec.instance_id}: length {rec.length:.6f} in {rec.elapsed:.2f}s")
-    if args.out:
+    if args.out is not None:
         write_ref_lengths(args.out, {r.instance_id: r.length for r in records})
         _wrote(args, "solve", f"lengths to {args.out}")
-    if args.trace:
+    if args.trace is not None:
         write_traces(args.trace, {r.instance_id: r.trace for r in records})
         print(f"wrote traces to {args.trace}")
     return 0
@@ -150,8 +158,9 @@ def cmd_tune(args: argparse.Namespace) -> int:
     instances = [inst for inst, _ in parse_instances(args.infile)]
     params = MctsParams(time_budget=args.budget, seed=args.seed, max_actions=args.max_actions)
     grid = None
-    if args.coarse or args.refine_step or args.refine_radius:
-        if not (args.coarse and args.refine_step and args.refine_radius):
+    given = [v is not None for v in (args.coarse, args.refine_step, args.refine_radius)]
+    if any(given):
+        if not all(given):
             return _usage("--coarse, --refine-step and --refine-radius go together")
         grid = GridSpec(
             coarse=tuple(_parse_floats(args.coarse, "--coarse")),
@@ -168,7 +177,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
     instances = [inst for inst, _ in parse_instances(args.infile)]
     spec, spec_data = load_run_spec(args.spec)
     refs = parse_ref_lengths(args.refs)
-    reference = parse_ref_lengths(args.reference_lengths) if args.reference_lengths else None
+    reference = (
+        None if args.reference_lengths is None else parse_ref_lengths(args.reference_lengths)
+    )
     check_ids(instance_ids(len(instances)), refs, reference)
     records = run_bench(instances, spec, workers=args.workers)
     report = aggregate(records, refs, reference)
@@ -180,17 +191,19 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    if args.gaps:
+    if args.gaps is not None:
         vals = _parse_floats(args.gaps, "--gaps")
         if len(vals) != 2:
             return _usage("--gaps needs exactly two values: reference_gap,search_gap")
         print(score_display(vals[0], vals[1])[1])
         return 0
-    if not (args.refs and args.lengths):
+    if args.refs is None or args.lengths is None:
         return _usage("give either --gaps or both --refs and --lengths")
     refs = parse_ref_lengths(args.refs)
     lengths = parse_ref_lengths(args.lengths)
-    reference = parse_ref_lengths(args.reference_lengths) if args.reference_lengths else None
+    reference = (
+        None if args.reference_lengths is None else parse_ref_lengths(args.reference_lengths)
+    )
     gaps = gap_rows(list(lengths), list(lengths.values()), refs, reference)
     print(f"gap: {gaps.gap * 100:.4f}%")
     if reference is not None:
@@ -213,7 +226,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         _tour, length = brute_force_optimal(inst)
         refs[iid] = length
         print(f"instance {iid}: optimal length {length:.6f}")
-    if args.out:
+    if args.out is not None:
         write_ref_lengths(args.out, refs)
         _wrote(args, "oracle", f"optimal lengths to {args.out}")
     return 0
@@ -311,8 +324,12 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code) if e.code is not None else 0
-    if getattr(args, "workers", 1) < 1:  # tune and bench, before any file is read
+    # checked before any file is read
+    if getattr(args, "workers", 1) < 1:  # tune and bench
         return _usage("--workers must be at least 1")
+    empty = [flag for dest, flag in _PATH_FLAGS.items() if getattr(args, dest, None) == ""]
+    if empty:
+        return _usage(f"{empty[0]} must not be empty")
     try:
         return args.func(args)
     except (ValueError, OSError) as e:

@@ -54,6 +54,9 @@ class TspInstance:
             raise ValueError("an instance needs at least 2 points")
         if not np.all(np.isfinite(pts)) or pts.min() < 0.0 or pts.max() > 1.0:
             raise ValueError("coordinates must lie in [0, 1]")
+        # no tour of such an instance has a positive length
+        if (pts == pts[0]).all():
+            raise ValueError("an instance needs two distinct points")
         object.__setattr__(self, "points", pts)
 
     @property

@@ -27,9 +27,10 @@ construction plus 2-opt; the best tour found, ``W``, ``Q`` and ``M`` all
 survive restarts.
 
 The sampling cycle, the restart tour and the 2-opt run compiled
-(``_kopt.c``, see :func:`_bind`), measuring each edge from the coordinates,
-so a solve builds no distance matrix; :func:`sample_kopt` is one step of
-that cycle.  Python keeps the exact re-measure of each candidate and
+(``_kopt.c``, bound to each state by ``_kopt.bind``, which owns the
+kernel's working memory), measuring each edge from the coordinates, so a
+solve builds no distance matrix; :func:`sample_kopt` is one step of that
+cycle.  Python keeps the exact re-measure of each candidate and
 ``backpropagate``.  The kernel is built and loaded by the first solve or
 ``init_state``, never at import, so ``tsplab gen`` and ``tsplab heatmap``
 never load it; a host that cannot build it gets ``OSError`` there.
@@ -161,22 +162,12 @@ class MctsState:
     candidates: np.ndarray
     params: MctsParams
     _row_sums: np.ndarray = field(init=False, repr=False)
-    _iota: np.ndarray = field(init=False, repr=False)
-    _pos: np.ndarray = field(init=False, repr=False)
-    _scratch: np.ndarray = field(init=False, repr=False)
-    _cur_pos: np.ndarray = field(init=False, repr=False)
     _run: Callable = field(init=False, repr=False)
     _construct: Callable = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        n = self.instance.n
         self._row_sums = self.W.sum(axis=1)
-        self._iota = np.arange(n, dtype=np.int64)
-        self._pos = np.empty(n, dtype=np.int64)
-        self._scratch = np.empty(n, dtype=np.int64)
-        self._cur_pos = np.empty(n, dtype=np.int64)
-        self._cur_pos[self.current] = self._iota
-        _bind(self)
+        self._run, self._construct = _kopt.bind(self)
 
     @property
     def n(self) -> int:
@@ -185,7 +176,6 @@ class MctsState:
     def _set_current(self, order: np.ndarray, length: float) -> None:
         self.current[:] = order
         self.current_length = length
-        self._cur_pos[order] = self._iota
         if length < self.best_length:
             self.best = order.copy()
             self.best_length = length
@@ -261,22 +251,6 @@ def construct_tour(state: MctsState, rng: np.random.Generator) -> Tour:
     return Tour(state._construct(state, rng).copy())
 
 
-def _bind(state: MctsState) -> None:
-    """Binds ``state._run`` and ``state._construct`` for the state's life:
-    ``kopt_run`` and ``kopt_construct`` of ``_kopt.c`` (see ``_kopt.bind``).
-    ``_run`` reports the call's last sample as ``(action, order, length)``,
-    with ``order`` the scratch buffer, or ``None``."""
-    kernel_run, state._construct, seq = _kopt.bind(state)
-    order = state._scratch
-
-    def run(state: MctsState, rng: np.random.Generator, *limits):
-        event, fails, count, length = kernel_run(state, rng, *limits)
-        sample = (KoptAction(tuple(seq[:count].tolist())), order, length) if count else None
-        return event, fails, sample
-
-    state._run = run
-
-
 def sample_kopt(state: MctsState, rng: np.random.Generator) -> KoptAction | None:
     """Sample one k-opt action from the current tour.
 
@@ -287,7 +261,7 @@ def sample_kopt(state: MctsState, rng: np.random.Generator) -> KoptAction | None
     cycle: stagnation after one sample, no cap and no time limit.
     """
     _, _, sample = state._run(state, rng, 0, 1, None, math.inf)
-    return None if sample is None else sample[0]
+    return None if sample is None else KoptAction(sample[0])
 
 
 def backpropagate(state: MctsState, c_old: float, c_new: float, action: KoptAction) -> None:
@@ -377,11 +351,11 @@ def mcts_solve(
         if event == _kopt.CAP:
             break
         if event == _kopt.CANDIDATE:
-            action, new_order, _ = res
+            vertices, new_order, _ = res
             # re-measure exactly: incremental deltas carry rounding dust
             exact = cycle_length(state.instance.points, new_order)
             if exact < state.current_length:
-                backpropagate(state, state.current_length, exact, action)
+                backpropagate(state, state.current_length, exact, KoptAction(vertices))
                 state._set_current(new_order, exact)
                 fails = 0
                 continue

@@ -312,6 +312,23 @@ class TestTuneCmd:
         assert main(["tune", "--in", str(src), "--budget", "10",
                      "--coarse", "0.01,0.03"]) == 2
 
+    @pytest.mark.parametrize("grid, code, err", [
+        (["--coarse", ""], 2,
+         "usage error: --coarse, --refine-step and --refine-radius go together\n"),
+        (["--coarse", "", "--refine-step", "0.001", "--refine-radius", "0.002"], 1,
+         "error: coarse grid must be non-empty\n"),
+        (["--coarse", "0.01", "--refine-step", "0", "--refine-radius", "0.002"], 1,
+         "error: need 0 < refine_step < refine_radius\n"),
+    ], ids=["empty-coarse-alone", "empty-coarse", "zero-step"])
+    def test_given_grid_values_reach_the_grid_checks(self, tmp_path, capsys, monkeypatch,
+                                                     grid, code, err):
+        # a flag given as empty or zero is given, not absent
+        src = _gen(tmp_path, count=1)
+        monkeypatch.setattr(cli, "grid_search_tau", _no_solve)
+        capsys.readouterr()
+        assert main(["tune", "--in", str(src), "--budget", "10", *grid]) == code
+        assert capsys.readouterr().err == err
+
     def test_out_file_and_manifest(self, tmp_path, capsys):
         src = _gen(tmp_path, count=1)
         out = tmp_path / "tune.csv"
@@ -336,6 +353,37 @@ def test_workers_below_one_is_a_usage_error(tmp_path, capsys, monkeypatch, comma
     captured = capsys.readouterr()
     assert captured.err == "usage error: --workers must be at least 1\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["gen", "--n", "5", "--out", ""], "--out"),
+    (["heatmap", "--in", "instances.txt", "--method", "zeros", "--out", ""], "--out"),
+    (["solve", "--in", "instances.txt", "--method", "zeros", "--heatmap", ""], "--heatmap"),
+    (["solve", "--in", "instances.txt", "--trace", "", "--checkpoints", "0.05"], "--trace"),
+    (["solve", "--in", "instances.txt", "--out", ""], "--out"),
+    (["solve", "--in", ""], "--in"),
+    (["tune", "--in", "instances.txt", "--budget", "10", "--out", ""], "--out"),
+    (["bench", "--in", "instances.txt", "--spec", "spec.json", "--refs", "refs.csv",
+      "--lkh-refs", ""], "--lkh-refs"),
+    (["bench", "--in", "instances.txt", "--spec", "", "--refs", "refs.csv"], "--spec"),
+    (["score", "--refs", "refs.csv", "--lengths", ""], "--lengths"),
+    (["oracle", "--in", "instances.txt", "--out", ""], "--out"),
+], ids=["gen", "heatmap", "solve-heatmap", "solve-trace", "solve-out", "solve-in", "tune",
+        "bench-lkh-refs", "bench-spec", "score", "oracle"])
+def test_empty_path_is_a_usage_error(tmp_path, capsys, monkeypatch, argv, flag):
+    # an empty path would name the working directory, or be read as no path:
+    # refused before any file is read or written
+    monkeypatch.chdir(tmp_path)
+    _gen(tmp_path, count=1, name="instances.txt")
+    before = sorted(os.listdir(tmp_path))
+    for solver in ("run_single", "run_bench", "grid_search_tau"):
+        monkeypatch.setattr(cli, solver, _no_solve)
+    capsys.readouterr()
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: {flag} must not be empty\n"
+    assert captured.out == ""
+    assert sorted(os.listdir(tmp_path)) == before
 
 
 class TestBenchCmd:

@@ -73,6 +73,7 @@ class TestInstanceFiles:
             ("0.0 0.0 1.0 1.0 output 1 1 1", "permutation"),
             ("0.0 0.0 1.0 1.0 output 0 1 0", "permutation"),
             ("0.0 0.0 1.0 1.0 output 1 x 1", "integers"),
+            ("0.5 0.5 0.5 0.5 0.5 0.5", "two distinct points"),
         ],
     )
     def test_malformed_lines(self, tmp_path, line, fragment):

@@ -51,6 +51,14 @@ class TestInstanceValidation:
         with pytest.raises(ValueError):
             TspInstance(np.zeros((3, 3)))
 
+    def test_rejects_coincident_points(self):
+        # no tour of such an instance has a positive length
+        for n in (2, 5):
+            with pytest.raises(ValueError, match="two distinct points"):
+                _inst([[0.5, 0.5]] * n)
+        # a repeated point is fine while another point differs
+        assert _inst([[0.5, 0.5], [0.5, 0.5], [0.5, 0.25]]).n == 3
+
     def test_content_key_tracks_content(self):
         a = _inst([[0.1, 0.2], [0.3, 0.4]])
         b = _inst([[0.1, 0.2], [0.3, 0.4]])

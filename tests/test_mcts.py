@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tsplab import _kopt, mcts
+from tsplab import _kopt
 from tsplab.geometry import (
     Tour,
     TspInstance,
@@ -722,12 +722,12 @@ def _construct_order(state: MctsState, rng: np.random.Generator) -> np.ndarray:
 
 def _sample_action(
     state: MctsState, rng: np.random.Generator
-) -> tuple[KoptAction, np.ndarray, float] | None:
+) -> tuple[tuple[int, ...], np.ndarray, float] | None:
     """Sample one k-opt action; updates ``M`` and ``Q``.
 
-    Returns ``(action, order, length)`` where ``order`` is the resulting
-    tour (a scratch buffer overwritten by the next call) and ``length`` its
-    closed length, or ``None`` when the anchor admits no extension at all.
+    Returns ``(vertices, order, length)``: the action's vertex tuple, the
+    resulting tour and its closed length; or ``None`` when the anchor admits
+    no extension at all.
 
     The oracle of ``kopt_sample`` in ``_kopt.c``: the tests below hold the
     kernel to it sample by sample.
@@ -747,16 +747,13 @@ def _sample_action(
       a row whose total is zero or not finite.
     """
     n = state.n
-    order = state._scratch
-    pos = state._pos
     cur = state.current
 
     a1 = int(rng.integers(n))
-    i0 = state._cur_pos.item(a1)
-    m = n - i0
-    order[:m] = cur[i0:]
-    order[m:] = cur[:i0]
-    iota = state._iota
+    i0 = int(np.flatnonzero(cur == a1)[0])
+    order = np.concatenate((cur[i0:], cur[:i0]))
+    iota = np.arange(n)
+    pos = np.empty(n, dtype=np.int64)
     pos[order] = iota
 
     pos_of = pos.item
@@ -826,7 +823,7 @@ def _sample_action(
         Q[u, v] += 1
         Q[v, u] += 1
     state.M += 1
-    return KoptAction(tuple(seq)), order, length
+    return tuple(seq), order, length
 
 
 def _run_python(
@@ -836,11 +833,11 @@ def _run_python(
     stagnation: int,
     max_actions: int | None,
     seconds: float,
-) -> tuple[int, int, tuple[KoptAction, np.ndarray, float] | None]:
+) -> tuple[int, int, tuple[tuple[int, ...], np.ndarray, float] | None]:
     """Sample until an event; returns ``(event, fails, sample)``.
 
     The oracle of ``kopt_run`` in ``_kopt.c``, which solves run (see
-    ``mcts._bind``), with the same events.  Before each sample it returns
+    ``_kopt.bind``), with the same events.  Before each sample it returns
     ``_kopt.CAP`` once ``state.M`` reaches ``max_actions`` (``None``: no
     cap), then ``_kopt.TIME`` once ``seconds`` have passed since the call.
     A sample whose incremental length beats ``state.current_length``
@@ -917,8 +914,8 @@ def _same_report(a, b):
 def _accept(py, c, a, b):
     """Accept a candidate on both states as a solve does, so W, the row sums
     and the tour move."""
-    for state, (action, order, length) in ((py, a[2]), (c, b[2])):
-        backpropagate(state, state.current_length, length, action)
+    for state, (vertices, order, length) in ((py, a[2]), (c, b[2])):
+        backpropagate(state, state.current_length, length, KoptAction(vertices))
         state._set_current(order, length)
 
 
@@ -1128,10 +1125,8 @@ class TestCompiledSampler:
         # C array must still match
         py, c = _twin_states(100, 99, "zeros", 1.0, 10**4, seed=3)
         rng_py, rng_c = rng_for(3, 0, "long"), rng_for(3, 0, "long")
-        longest = max(
-            (a[0].k for a in (_step_both(py, c, rng_py, rng_c) for _ in range(10)) if a),
-            default=0,
-        )
+        samples = [_step_both(py, c, rng_py, rng_c) for _ in range(10)]
+        longest = max((KoptAction(a[0]).k for a in samples if a), default=0)
         assert longest >= 90
 
     def test_context_is_bound_once_per_state(self, monkeypatch):
@@ -1149,10 +1144,7 @@ class TestCompiledSampler:
         # python: whole solves with the oracle run loop and restart
         # construction bound in the kernel's place
         if not compiled:
-            def bind_oracles(state):
-                state._run, state._construct = _run_python, _construct_order
-
-            monkeypatch.setattr(mcts, "_bind", bind_oracles)
+            monkeypatch.setattr(_kopt, "bind", lambda state: (_run_python, _construct_order))
         assert _golden_solve(name) == GOLDEN[name]
 
     def test_load_raises_without_a_compiler(self, tmp_path, monkeypatch):
