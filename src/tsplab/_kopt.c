@@ -36,6 +36,7 @@ typedef struct {
 /* What one MctsState shares with the kernel: the pointers fixed for its
  * life (its arrays, then from cur_pos on the kernel's own scratch, which
  * tsplab._kopt.bind allocates), then the counters of a kopt_run call.
+ * An action's edges are not kept: kopt_sample tests them on cur_pos.
  * Mirrored by tsplab._kopt._Context; keep the two in the same order. */
 typedef struct {
     int64_t n;
@@ -52,8 +53,6 @@ typedef struct {
     int64_t *order;         /* n, the sampled tour */
     int64_t *pos;           /* n, position of each vertex in order */
     int64_t *seq;           /* 2 * max_depth + 1, the action */
-    int64_t *deleted;       /* max_depth edge keys */
-    int64_t *added;         /* max_depth edge keys */
     int64_t *feasible;      /* kc */
     double *cum;            /* kc */
     int64_t M;              /* actions sampled, in and out; kopt_construct reads it */
@@ -97,17 +96,11 @@ static double dist(const double *pts, int64_t u, int64_t v)
     return sqrt(dx * dx + dy * dy);
 }
 
-static int64_t edge_key(int64_t u, int64_t v, int64_t n)
+static int adjacent(const int64_t *cur_pos, int64_t n, int64_t u, int64_t v)
 {
-    return u < v ? u * n + v : v * n + u;
-}
+    const int64_t gap = cur_pos[u] - cur_pos[v];
 
-static int contains(const int64_t *keys, int64_t count, int64_t key)
-{
-    for (int64_t i = 0; i < count; i++)
-        if (keys[i] == key)
-            return 1;
-    return 0;
+    return gap == 1 || gap == -1 || gap == n - 1 || gap == 1 - n;
 }
 
 /* The vertex drawn after v from c->feasible[0..count): each edge (v, u)
@@ -144,31 +137,38 @@ static int64_t pick(kopt_ctx *c, int64_t v, int64_t count, double bonus, bitgen_
     return c->feasible[lo < last ? lo : last];
 }
 
-/* One sample: returns the length of the action in
- * c->seq, or 0 when the anchor admits no extension (then Q stays as it
- * was).  c->length receives the closed length of the tour left in
- * c->order.  M is left to the caller. */
+/* One sample: returns the length of the action in c->seq, or 0 when the
+ * anchor admits no extension (then Q stays as it was).  c->length receives
+ * the closed length of the tour left in c->order.  M is left to the caller.
+ *
+ * order closed by (a1, b) is always the cycle current - deleted + added +
+ * (a1, b); every deleted edge is an edge of current and no added one is.
+ * So the oracle's edge-set rules are O(1) tests on cur_pos: for u at
+ * position ju >= 3, the chord (b, u) is deleted iff b and u are adjacent
+ * in current, the edge (order[ju - 1], u) is added iff those two are not,
+ * and closing by (a1, b) re-adds a deleted edge iff b is b1 = seq[1]. */
 static int64_t kopt_sample(kopt_ctx *c, bitgen_t *bg)
 {
     const int64_t n = c->n;
     const double *pts = c->pts;
+    const int64_t *cur_pos = c->cur_pos;
     int64_t *order = c->order;
     int64_t *pos = c->pos;
     int64_t *seq = c->seq;
     const int64_t a1 = draw_below(bg, n);
-    const int64_t i0 = c->cur_pos[a1];
+    const int64_t i0 = cur_pos[a1];
     const double c0 = c->current_length;
     const double bonus = log((double)c->M + 1.0);
-    int64_t b, k = 1, nd = 1, na = 0, len = 2;
-    double length = c0;
+    int64_t b, b1, k = 1, len = 2;
+    double length = c0, d_ab;
 
     for (int64_t t = 0; t < n; t++) {
         const int64_t v = c->current[i0 + t < n ? i0 + t : i0 + t - n];
         order[t] = v;
         pos[v] = t;
     }
-    b = order[1];
-    c->deleted[0] = edge_key(a1, b, n);
+    b = b1 = order[1];
+    d_ab = dist(pts, a1, b);
     seq[0] = a1;
     seq[1] = b;
 
@@ -176,20 +176,18 @@ static int64_t kopt_sample(kopt_ctx *c, bitgen_t *bg)
         const int64_t *row = c->cand + b * c->kc;
         int64_t nf = 0;
         int64_t ch, j, bn;
+        double d_abn;
 
         for (int64_t i = 0; i < c->kc; i++) {
             const int64_t u = row[i];
             const int64_t ju = pos[u];
-            if (ju < 3)
-                continue;
-            if (contains(c->deleted, nd, edge_key(b, u, n)))
-                continue;
-            if (na && contains(c->added, na, edge_key(order[ju - 1], u, n)))
+            if (ju < 3 || adjacent(cur_pos, n, b, u)
+                || !adjacent(cur_pos, n, order[ju - 1], u))
                 continue;
             c->feasible[nf++] = u;
         }
         if (nf == 0) {
-            if (k >= 2 && !contains(c->deleted, nd, edge_key(a1, b, n)))
+            if (b != b1) /* b is b1 at k = 1 */
                 break;
             return 0;
         }
@@ -197,25 +195,22 @@ static int64_t kopt_sample(kopt_ctx *c, bitgen_t *bg)
 
         j = pos[ch];
         bn = order[j - 1];
-        length += dist(pts, a1, bn) + dist(pts, b, ch) - dist(pts, a1, b) - dist(pts, bn, ch);
-        c->deleted[nd++] = edge_key(bn, ch, n);
-        c->added[na++] = edge_key(b, ch, n);
+        d_abn = dist(pts, a1, bn);
+        length += d_abn + dist(pts, b, ch) - d_ab - dist(pts, bn, ch);
+        d_ab = d_abn;
         seq[len++] = ch;
         seq[len++] = bn;
         for (int64_t lo = 1, hi = j - 1; lo < hi; lo++, hi--) {
             const int64_t tmp = order[lo];
             order[lo] = order[hi];
             order[hi] = tmp;
+            pos[order[lo]] = lo;
+            pos[tmp] = hi;
         }
-        for (int64_t t = 1; t < j; t++)
-            pos[order[t]] = t;
         b = bn;
         k++;
-        {
-            const int closeable = !contains(c->deleted, nd, edge_key(a1, b, n));
-            if ((length < c0 || k >= c->max_depth) && closeable)
-                break;
-        }
+        if ((length < c0 || k >= c->max_depth) && b != b1)
+            break;
         if (k >= c->max_depth)
             return 0;
     }

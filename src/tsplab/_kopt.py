@@ -56,7 +56,7 @@ class _Context(ctypes.Structure):
         ("alpha", _c_double),
         *((name, _c_void_p) for name in (
             "pts", "W", "Q", "row_sums", "cand", "current", "cur_pos", "order", "pos",
-            "seq", "deleted", "added", "feasible", "cum",
+            "seq", "feasible", "cum",
         )),
         ("M", _c_i64),
         ("fails", _c_i64),
@@ -193,7 +193,8 @@ def two_opt(points: np.ndarray, order, deadline: float | None = None) -> np.ndar
 
 def bind(state):
     """``(run, construct)`` for ``state``, over the kernel's own working
-    memory: the sampled tour, the positions, the action and the pick buffers.
+    memory: the sampled tour, the positions, the action and the pick
+    buffers, but no list of an action's edges.
 
     ``run(state, rng, fails, stagnation, max_actions, seconds)`` samples
     until an event (see ``kopt_run``) and returns ``(event, fails,
@@ -218,8 +219,8 @@ def bind(state):
     depth = min(state.params.max_depth, n)
     kc = state.candidates.shape[1]
     i64, f64 = np.int64, np.float64
-    # cur_pos, order, pos, seq, deleted, added and feasible, then cum, as in kopt_ctx
-    scratch = (*(np.empty(s, dtype=i64) for s in (n, n, n, 2 * depth + 1, depth, depth, kc)),
+    # cur_pos, order, pos, seq and feasible, then cum, as in kopt_ctx
+    scratch = (*(np.empty(s, dtype=i64) for s in (n, n, n, 2 * depth + 1, kc)),
                np.empty(kc, dtype=f64))
     order, seq = scratch[1], scratch[3]
     ctx = _Context(

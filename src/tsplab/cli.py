@@ -8,6 +8,7 @@ it, recording the tool version and the full parameter set that produced it.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -85,6 +86,8 @@ def cmd_heatmap(args: argparse.Namespace) -> int:
         return _usage("--tau is required with --method softdist")
     if args.method != "softdist" and args.tau is not None:
         return _usage(f"--tau is only meaningful with --method softdist, not {args.method}")
+    if args.tau is not None and not 0.0 < args.tau < math.inf:
+        return _usage("--tau must be a positive finite number")
     pairs = parse_instances(args.infile)
     out = args.out if len(pairs) == 1 else f"{Path(args.out)}/"  # a batch goes to a directory
     files = [heatmap_file(out, iid) for iid in instance_ids(len(pairs))]

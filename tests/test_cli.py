@@ -156,6 +156,17 @@ class TestHeatmapCmd:
         assert "usage error: --tau" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("tau", ["-1", "0", "nan", "inf"])
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_bad_tau_makes_no_path(self, tmp_path, capsys, tau, count):
+        # refused before --out is made: a batch used to leave an empty directory
+        src = _gen(tmp_path, count=count)
+        for out in (tmp_path / "maps", tmp_path / "one.hmap"):
+            code = main(["heatmap", "--in", str(src), "--tau", tau, "--out", str(out)])
+            assert code == 2
+            assert "usage error: --tau must be a positive finite number" in capsys.readouterr().err
+            assert not out.exists() and not out.with_name(f"{out.name}.manifest.json").exists()
+
 
 class TestSolveCmd:
     def test_writes_lengths_csv(self, tmp_path, capsys):

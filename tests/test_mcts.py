@@ -10,6 +10,7 @@ import tempfile
 import time
 import tracemalloc
 from bisect import bisect_right
+from collections import Counter
 from collections.abc import Callable
 from itertools import accumulate
 from pathlib import Path
@@ -720,6 +721,11 @@ def _construct_order(state: MctsState, rng: np.random.Generator) -> np.ndarray:
     return order
 
 
+def _refuse(rule: str, u: int, v: int) -> None:
+    """Called by :func:`_sample_action` each time one of its three rules
+    refuses the edge ``(u, v)``; the tests replace it to count them."""
+
+
 def _sample_action(
     state: MctsState, rng: np.random.Generator
 ) -> tuple[tuple[int, ...], np.ndarray, float] | None:
@@ -783,17 +789,21 @@ def _sample_action(
             if j < 3:
                 continue
             if (b * n + c if b < c else c * n + b) in deleted:
+                _refuse("deleted chord", b, c)
                 continue
             if added:
                 p = at(j - 1)
                 if (p * n + c if p < c else c * n + p) in added:
+                    _refuse("added edge", p, c)
                     continue
             feasible.append(c)
         if not feasible:
             # dead end: close with what we have, unless the closing edge
             # (b, a1) would recreate a deleted edge (at k=1 it always would)
-            if k >= 2 and (a1 * n + b if a1 < b else b * n + a1) not in deleted:
-                break
+            if k >= 2:
+                if (a1 * n + b if a1 < b else b * n + a1) not in deleted:
+                    break
+                _refuse("blocked close", a1, b)
             return None
         c = feasible[_pick(potentials(b, feasible), rng)]
 
@@ -811,8 +821,10 @@ def _sample_action(
         # a reversal can bring b1 back next to the anchor, making the
         # closing edge (b, a1) one we already deleted; then extend instead
         closeable = (a1 * n + b if a1 < b else b * n + a1) not in deleted
-        if (length < c0 or k >= max_depth) and closeable:
-            break
+        if length < c0 or k >= max_depth:
+            if closeable:
+                break
+            _refuse("blocked close", a1, b)
         if k >= max_depth:
             return None
 
@@ -934,6 +946,42 @@ def _step_both(py, c, rng_py, rng_c):
     return a[2]
 
 
+def _sample_parity(n, k):
+    """80 ``_run`` steps on twin states for each of ``PARITY_CASES``."""
+    for case, (heatmap, alpha, depth, fresh) in enumerate(PARITY_CASES):
+        py, c = _twin_states(n, k, heatmap, alpha, depth, seed=n + case)
+        rng_py, rng_c = rng_for(case, 0, "parity"), rng_for(case, 0, "parity")
+        for i in range(80):
+            if fresh:
+                # the kernel reads the generator on every call, not once per state
+                rng_py, rng_c = rng_for(case, i, "parity"), rng_for(case, i, "parity")
+            _step_both(py, c, rng_py, rng_c)
+        assert np.array_equal(py.W, c.W) and np.array_equal(py.current, c.current)
+
+
+def _run_parity(py, c, rng_py, rng_c):
+    """``kopt_run`` against ``_run_python`` until 600 actions: the same
+    events, fails, last samples and counters on every event, accepting
+    candidates as a solve does.  Returns the events."""
+    fails, events = 0, []
+    while True:
+        a = py._run(py, rng_py, fails, 25, 600, math.inf)
+        b = c._run(c, rng_c, fails, 25, 600, math.inf)
+        assert c._run is not _run_python
+        _same_report(a, b)
+        assert py.M == c.M and np.array_equal(py.Q, c.Q)
+        assert _rng_state(rng_py) == _rng_state(rng_c)
+        event, fails, _ = a
+        events.append(event)
+        if event == _kopt.CAP:
+            return events
+        if event == _kopt.CANDIDATE:
+            _accept(py, c, a, b)
+            fails = 0
+        elif event == _kopt.STAGNATION:
+            fails = 0
+
+
 _PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK64, _MASK128 = (1 << 64) - 1, (1 << 128) - 1
 
@@ -962,6 +1010,8 @@ def _pcg64(word32: int, word64: int | None = None) -> np.random.Generator:
     return rng
 
 
+PARITY_SIZES = [4, 5, 7, 50, 100, 300]
+
 # (heatmap, alpha, max_depth, a fresh generator per call)
 PARITY_CASES = [
     ("softdist", 1.0, 40, False),
@@ -975,18 +1025,21 @@ class TestCompiledSampler:
     """The compiled sampler (``_kopt.c``) against the Python one, its oracle."""
 
     @pytest.mark.parametrize("k", ["1", "5", "n-1"])
-    @pytest.mark.parametrize("n", [4, 5, 7, 50, 100, 300])
+    @pytest.mark.parametrize("n", PARITY_SIZES)
     def test_parity_sample_by_sample(self, n, k):
-        k = n - 1 if k == "n-1" else int(k)
-        for case, (heatmap, alpha, depth, fresh) in enumerate(PARITY_CASES):
-            py, c = _twin_states(n, k, heatmap, alpha, depth, seed=n + case)
-            rng_py, rng_c = rng_for(case, 0, "parity"), rng_for(case, 0, "parity")
-            for i in range(80):
-                if fresh:
-                    # the kernel reads the generator on every call, not once per state
-                    rng_py, rng_c = rng_for(case, i, "parity"), rng_for(case, i, "parity")
-                _step_both(py, c, rng_py, rng_c)
-            assert np.array_equal(py.W, c.W) and np.array_equal(py.current, c.current)
+        _sample_parity(n, n - 1 if k == "n-1" else int(k))
+
+    def test_parity_sweep_refuses_by_every_rule(self, monkeypatch):
+        # the kernel replaces each of the oracle's three set-based rules with
+        # a test on the working tour's positions: the sweep above must reach
+        # every one of them, or its parity says nothing about that rule
+        refused = Counter()
+        # the oracle reports through this module's _refuse
+        monkeypatch.setitem(globals(), "_refuse", lambda rule, u, v: refused.update([rule]))
+        for n in PARITY_SIZES:
+            for k in (1, 5, n - 1):
+                _sample_parity(n, k)
+        assert set(refused) == {"deleted chord", "added edge", "blocked close"}, refused
 
     def test_draw_below_rejection_loop(self):
         # a first word of 0 leaves 0 in the low half of word * n, below
@@ -1028,31 +1081,33 @@ class TestCompiledSampler:
 
     @pytest.mark.parametrize("case", range(len(PARITY_CASES)))
     def test_run_parity_event_by_event(self, case):
-        # kopt_run against _run_python: same events, fails, last samples and
-        # counters on every event, accepting candidates as a solve does
         heatmap, alpha, depth, _ = PARITY_CASES[case]
         py, c = _twin_states(60, 5, heatmap, alpha, depth, seed=case)
-        rng_py, rng_c = rng_for(case, 0, "run"), rng_for(case, 0, "run")
-        fails, events = 0, []
-        while True:
-            a = py._run(py, rng_py, fails, 25, 600, math.inf)
-            b = c._run(c, rng_c, fails, 25, 600, math.inf)
-            assert c._run is not _run_python
-            _same_report(a, b)
-            assert py.M == c.M and np.array_equal(py.Q, c.Q)
-            assert _rng_state(rng_py) == _rng_state(rng_c)
-            event, fails, _ = a
-            events.append(event)
-            if event == _kopt.CAP:
-                break
-            if event == _kopt.CANDIDATE:
-                _accept(py, c, a, b)
-                fails = 0
-            elif event == _kopt.STAGNATION:
-                fails = 0
+        events = _run_parity(py, c, rng_for(case, 0, "run"), rng_for(case, 0, "run"))
         assert py.M == 600 and _kopt.STAGNATION in events
         # depth-2 actions are 2-opt moves, which cannot improve the 2-opt start
         assert (_kopt.CANDIDATE in events) == (depth > 2)
+
+    @pytest.mark.parametrize("depth", ["n", "2n"])
+    @pytest.mark.parametrize("n", [4, 5, 7])
+    def test_run_parity_on_tiny_tours(self, n, depth, monkeypatch):
+        # every vertex a candidate and actions as deep as the tour: the
+        # kernel's adjacency test must see the wrap-around edge between the
+        # last and first positions of the working tour, a gap of n - 1
+        gaps = Counter()
+
+        def refuse(rule, u, v):
+            pos = py.current.tolist()
+            gaps[rule, abs(pos.index(u) - pos.index(v))] += 1
+
+        # the oracle reports through this module's _refuse
+        monkeypatch.setitem(globals(), "_refuse", refuse)
+        for case, (heatmap, alpha, _, _) in enumerate(PARITY_CASES):
+            py, c = _twin_states(n, n - 1, heatmap, alpha, n if depth == "n" else 2 * n,
+                                 seed=n + case)
+            _run_parity(py, c, rng_for(case, n, "tiny"), rng_for(case, n, "tiny"))
+            assert py.M == 600
+        assert gaps["deleted chord", n - 1] > 0, gaps
 
     def test_construct_parity(self, monkeypatch):
         # kopt_construct against _construct_order on warmed states, construct
