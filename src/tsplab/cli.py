@@ -195,6 +195,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 def cmd_score(args: argparse.Namespace) -> int:
     if args.gaps is not None:
+        given = [_PATH_FLAGS[dest] for dest in ("refs", "lengths", "reference_lengths")
+                 if getattr(args, dest) is not None]
+        if given:
+            return _usage(f"--gaps does not go with {given[0]}")
         vals = _parse_floats(args.gaps, "--gaps")
         if len(vals) != 2:
             return _usage("--gaps needs exactly two values: reference_gap,search_gap")

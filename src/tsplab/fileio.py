@@ -301,7 +301,7 @@ def render_tune_table(result, fmt: str) -> str:
     if fmt == "md":
         lines = [f"best tau: {result.best_tau:g}", "", "| tau | mean length |", "| --- | --- |"]
         for tau, val in result.table:
-            lines.append(f"| {tau:.4f} | {val:.5f} |")
+            lines.append(f"| {_fmt(tau)} | {val:.5f} |")
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown report format: {fmt!r} (use csv, json, or md)")
 

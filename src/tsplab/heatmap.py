@@ -49,8 +49,9 @@ def zeros_heatmap(n: int) -> np.ndarray:
 def validate_heatmap(h: np.ndarray, n: int | None = None) -> np.ndarray:
     """Check every heatmap rule: square, at least 2x2, of size ``n`` when
     given, finite and nonnegative entries, zero diagonal, and positive mass
-    in every row.  Returns ``h`` as float64."""
-    h = np.asarray(h, dtype=np.float64)
+    in every row.  Returns ``h`` as a C-contiguous float64 array, the layout
+    the kernel reads; a map already in it is not copied."""
+    h = np.ascontiguousarray(h, dtype=np.float64)
     if h.ndim != 2 or h.shape[0] != h.shape[1] or h.shape[0] < 2:
         raise ValueError("heatmap must be a square (n, n) array of at least 2x2")
     if n is not None and h.shape[0] != n:

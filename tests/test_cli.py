@@ -544,6 +544,14 @@ class TestScoreCmd:
     def test_needs_some_input(self, capsys):
         assert main(["score"]) == 2
 
+    @pytest.mark.parametrize("flag", ["--refs", "--lengths", "--lkh-refs"])
+    def test_gaps_refuse_length_files(self, flag, tmp_path, capsys):
+        # refused before the file is read, not ignored: it does not even exist
+        assert main(["score", "--gaps", "0.01,0.02", flag, str(tmp_path / "missing.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--gaps does not go with {flag}" in captured.err
+
     def test_length_files(self, tmp_path, capsys):
         refs = tmp_path / "refs.csv"
         lengths = tmp_path / "lengths.csv"

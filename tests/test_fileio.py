@@ -271,6 +271,11 @@ class TestRenderTuneTable:
     def test_md(self):
         result = TuneResult(best_tau=0.005, table=((0.005, 17.2),))
         assert render_tune_table(result, "md").startswith("best tau: 0.005")
+        # taus as the csv prints them: a refine step finer than four decimals
+        # keeps its rows apart
+        result = TuneResult(0.001, ((0.00095, 5.1), (0.001, 5.0), (0.00105, 5.05)))
+        rows = render_tune_table(result, "md").splitlines()[-3:]
+        assert rows == ["| 0.00095 | 5.10000 |", "| 0.001 | 5.00000 |", "| 0.00105 | 5.05000 |"]
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):

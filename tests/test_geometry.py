@@ -256,9 +256,9 @@ def _two_way(inst: TspInstance, start: np.ndarray) -> np.ndarray:
 class TestTwoOptKernel:
     """``kopt_two_opt`` of ``_kopt.c`` against the dense oracle."""
 
-    @pytest.mark.parametrize("n", [*range(2, 14), 20, 33, 64, 100, 150, 300])
+    @pytest.mark.parametrize("n", [*range(2, 14), 20, 33, 50, 64, 100, 150, 200, 300])
     def test_random_starts(self, n):
-        for seed in range(6 if n <= 13 else 2):
+        for seed in range(12 if n <= 13 else 3):
             inst = generate_instances(n, 1, seed=seed)[0]
             _two_way(inst, rng_for(seed, n, "kernel").permutation(n))
 
@@ -277,12 +277,6 @@ class TestTwoOptKernel:
 
 
 class TestTwoOptExactness:
-    @pytest.mark.parametrize("n", [4, 5, 6, 7, 12, 50, 100, 200])
-    def test_random_starts_match_dense_scan(self, n):
-        for seed in range(12 if n <= 12 else 3):
-            inst = generate_instances(n, 1, seed=seed)[0]
-            _two_way(inst, rng_for(seed, n, "exact").permutation(n))
-
     def test_restart_starts_match_dense_scan(self):
         for n in (30, 120):
             inst = generate_instances(n, 1, seed=n)[0]

@@ -592,6 +592,21 @@ class TestMctsSolve:
             b.best_length, b.actions_sampled, b.restarts)
         assert np.array_equal(a.best.order, b.best.order)
 
+    @pytest.mark.parametrize("layout", [np.asfortranarray, lambda h: np.ascontiguousarray(h.T).T],
+                             ids=["fortran", "transposed_view"])
+    def test_heatmap_in_any_memory_layout(self, layout):
+        # the same map in another layout solves exactly as the C-ordered one
+        inst = generate_instances(20, 1, seed=0)[0]
+        h = softdist(inst, 0.05)
+        params = MctsParams(time_budget=60.0, seed=0, max_actions=500)
+        want = mcts_solve(inst, h, params)
+        other = layout(h)
+        assert not other.flags.c_contiguous and np.array_equal(other, h)
+        got = mcts_solve(inst, other, params)
+        assert (got.best_length, got.actions_sampled, got.restarts) == (
+            want.best_length, want.actions_sampled, want.restarts)
+        assert np.array_equal(got.best.order, want.best.order)
+
     def test_restarts_on_stagnation(self):
         inst = generate_instances(20, 1, seed=12)[0]
         params = MctsParams(time_budget=0.4, seed=12, stagnation_limit=40)
@@ -616,6 +631,8 @@ def _nearest_pair_heatmap(inst: TspInstance) -> np.ndarray:
 # cases reach every branch of the sampler: restart tours (including the
 # nearest-unvisited hop), dead ends, the uniform pick on a zero-potential row
 # (alpha=0 case) and closing at max_depth (depth-2 case).
+# ``TestCompiledSampler.test_golden_on_both_samplers`` holds the kernel and
+# the Python oracle to them.
 GOLDEN = {
     "softdist": (7.355936183614727, "8de7a713e3a95118", 3000, 8),
     "zeros": (6.285277797027128, "d88e2020defce6f1", 2000, 11),
@@ -646,13 +663,6 @@ def _golden_solve(name: str) -> tuple:
     result = mcts_solve(inst, h, MctsParams(time_budget=600.0, **kw))
     digest = hashlib.sha256(np.asarray(result.best.order, dtype=np.int64).tobytes())
     return result.best_length, digest.hexdigest()[:16], result.actions_sampled, result.restarts
-
-
-@pytest.mark.parametrize("name", sorted(GOLDEN))
-def test_golden_capped_output(name):
-    got = _golden_solve(name)
-    assert repr(got[0]) == repr(GOLDEN[name][0])
-    assert got == GOLDEN[name]
 
 
 # The Python sampler, run loop and restart construction: the oracles the
@@ -1216,6 +1226,32 @@ class TestCompiledSampler:
         with pytest.raises(OSError, match="no C compiler"):
             _golden_solve("zeros")
         assert not list(tmp_path.rglob("*.so"))
+
+    def test_load_refuses_directories_of_another_user(self, tmp_path, monkeypatch):
+        # a library planted by another user would run with this user's rights:
+        # a cache directory not owned by the caller is never loaded from
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+        monkeypatch.setattr(os, "getuid", lambda uid=os.getuid(): uid + 1)
+        monkeypatch.setattr(_kopt, "_kernel", None)
+        with pytest.raises(OSError, match="belongs to another user") as raised:
+            _kopt.load()
+        dirs = _kopt._cache_dirs()
+        assert len(dirs) == 2
+        for d in dirs:
+            assert f"{d}: {d} belongs to another user" in str(raised.value)
+        assert not list(tmp_path.rglob("*.so"))
+
+    def test_load_falls_back_to_the_temp_dir(self, tmp_path, monkeypatch):
+        # a cache home below a regular file cannot be made: the kernel is
+        # built in the private directory under the temp dir instead
+        (tmp_path / "file").write_text("")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "file" / "cache"))
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+        monkeypatch.setattr(_kopt, "_kernel", None)
+        _kopt.load()
+        built = tmp_path / "tmp" / f"tsplab-{os.getuid()}" / _kopt.library_name()
+        assert list(tmp_path.rglob("*.so")) == [built]
 
     def test_loads_through_ctypes_without_cffi(self, tmp_path):
         # numpy stays the only dependency
