@@ -87,7 +87,9 @@ static int64_t draw_below(bitgen_t *bg, int64_t bound)
     return (int64_t)(m >> 32);
 }
 
-/* |uv|, bit for bit the entry (u, v) of geometry.distance_matrix */
+/* |uv| as sqrt(dx * dx + dy * dy), the one distance formula: numpy
+ * computes geometry.distance_matrix and geometry.cycle_length by the same
+ * operations in the same order, so this is bit for bit their entry (u, v) */
 static double dist(const double *pts, int64_t u, int64_t v)
 {
     const double dx = pts[2 * u] - pts[2 * v];

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from concurrent.futures import BrokenExecutor
 from dataclasses import fields
 from pathlib import Path
 
@@ -339,7 +340,8 @@ def main(argv: list[str] | None = None) -> int:
         return _usage(f"{empty[0]} must not be empty")
     try:
         return args.func(args)
-    except (ValueError, OSError) as e:
+    # BrokenExecutor: a worker process of tune or bench died mid-batch
+    except (ValueError, OSError, BrokenExecutor) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

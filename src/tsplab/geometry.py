@@ -114,10 +114,19 @@ def generate_instances(n: int, count: int, seed: int) -> list[TspInstance]:
 
 
 def distance_matrix(instance: TspInstance) -> np.ndarray:
-    """Full symmetric Euclidean distance matrix with a zero diagonal."""
-    pts = instance.points
-    diff = pts[:, None, :] - pts[None, :, :]
-    return np.linalg.norm(diff, axis=-1)
+    """Full symmetric Euclidean distance matrix with a zero diagonal.
+
+    Entry ``(i, j)`` is ``sqrt(dx * dx + dy * dy)`` of the coordinate
+    differences, the formula of ``dist()`` in ``_kopt.c``, so the kernel's
+    distances are these entries bit for bit.
+    """
+    x, y = instance.points.T
+    d = np.subtract.outer(x, x)
+    d *= d
+    dy = np.subtract.outer(y, y)
+    dy *= dy
+    d += dy
+    return np.sqrt(d, out=d)
 
 
 def tour_length(instance: TspInstance, tour: Tour) -> float:
@@ -128,9 +137,14 @@ def tour_length(instance: TspInstance, tour: Tour) -> float:
 
 def cycle_length(points: np.ndarray, order: np.ndarray) -> float:
     """Closed-cycle length of a vertex order over ``points``; bit for bit
-    the sum of its edges' :func:`distance_matrix` entries."""
+    the sum of its edges' :func:`distance_matrix` entries, each edge
+    measured by the formula of ``dist()`` in ``_kopt.c``."""
     pts = points[order]
-    return float(np.linalg.norm(pts - np.roll(pts, -1, axis=0), axis=1).sum())
+    d = np.empty_like(pts)
+    np.subtract(pts[1:], pts[:-1], out=d[:-1])
+    np.subtract(pts[0], pts[-1], out=d[-1])
+    d *= d
+    return float(np.sqrt(d[:, 0] + d[:, 1]).sum())
 
 
 def two_opt(instance: TspInstance, tour: Tour) -> Tour:

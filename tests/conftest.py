@@ -14,3 +14,18 @@ def pool_sizes(monkeypatch):
 
     monkeypatch.setattr(bench, "ProcessPoolExecutor", pool)
     return sizes
+
+
+@pytest.fixture
+def pool_chunks(monkeypatch):
+    """``(solves, chunksize)`` of each batch sent to a process pool that
+    ``tsplab.bench`` constructs, in order."""
+    calls = []
+
+    class Pool(bench.ProcessPoolExecutor):
+        def map(self, fn, *iterables, chunksize=1, **kwargs):
+            calls.append((len(iterables[0]), chunksize))
+            return super().map(fn, *iterables, chunksize=chunksize, **kwargs)
+
+    monkeypatch.setattr(bench, "ProcessPoolExecutor", Pool)
+    return calls

@@ -11,6 +11,7 @@ import pytest
 from tsplab import bench
 from tsplab.bench import (
     SCORE_SENTINEL,
+    _chunk_size,
     BenchReport,
     MctsRunSpec,
     RunRecord,
@@ -175,6 +176,23 @@ class TestRunSingle:
         assert make_heatmap(inst, "zeros").shape == (6, 6)
 
 
+class TestChunkSize:
+    def test_largest_chunk_that_adds_no_rounds(self):
+        # rounds of equal-length solves: one at a time, and in chunks of c
+        for batch in range(1, 201):
+            for workers in range(1, 9):
+                rounds = math.ceil(batch / workers)
+
+                def chunk_rounds(c):
+                    return math.ceil(math.ceil(batch / c) / workers) * c
+
+                c = _chunk_size(batch, workers)
+                bound = max(1, batch // (4 * workers))
+                assert 1 <= c <= bound
+                assert chunk_rounds(c) <= rounds
+                assert all(chunk_rounds(k) > rounds for k in range(c + 1, bound + 1))
+
+
 class TestRunBench:
     def test_ids_follow_batch_positions(self):
         instances = generate_instances(6, 4, seed=33)
@@ -239,6 +257,20 @@ class TestRunBench:
         run_bench(generate_instances(6, 1, seed=39), spec, workers=4)
         run_bench(generate_instances(6, 3, seed=39), spec, workers=1)
         assert pool_sizes == []
+
+    @pytest.mark.parametrize("count, workers, chunk", [
+        (48, 2, 6), (12, 2, 1), (32, 8, 1), (100, 8, 1),
+    ], ids=["48-at-2", "12-at-2", "32-at-8", "100-at-8"])
+    def test_batch_goes_in_chunks_that_add_no_rounds(self, pool_chunks, count, workers, chunk):
+        # 100 solves at 8 workers take 13 rounds one at a time; chunks of 3 or
+        # 2, all that the 4-per-worker bound allows, would take 15 or 14
+        instances = generate_instances(6, count, seed=40)
+        spec = MctsRunSpec(method="zeros", params=MctsParams(time_budget=10.0, max_actions=20))
+        records = run_bench(instances, spec, workers=workers)
+        assert pool_chunks == [(count, chunk)]
+        serial = run_bench(instances, spec)
+        assert [(r.instance_id, r.length) for r in records] == [
+            (r.instance_id, r.length) for r in serial]
 
     def test_external_directory_matches_in_memory_softdist(self, tmp_path):
         instances = generate_instances(8, 3, seed=35)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tsplab import cli
+from tsplab import bench, cli, tuner
 from tsplab.cli import main
 from tsplab.bench import RunRecord, aggregate
 from tsplab.fileio import (
@@ -26,6 +26,11 @@ from tsplab.heatmap import softdist
 
 def _no_solve(*args, **kwargs):
     raise AssertionError("no solve may start")
+
+
+def _die_in_worker(*args, **kwargs):
+    # module level, so that a process pool can pickle it
+    os._exit(3)
 
 
 def _gen(tmp_path, n=6, count=2, seed=0, name="instances.txt"):
@@ -363,6 +368,29 @@ def test_workers_below_one_is_a_usage_error(tmp_path, capsys, monkeypatch, comma
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.err == "usage error: --workers must be at least 1\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["tune", "bench"])
+def test_dead_worker_is_one_error_line(tmp_path, capsys, monkeypatch, command):
+    # a worker that dies mid-batch breaks the pool: a runtime failure, exit 1
+    src = _gen(tmp_path, count=3)
+    if command == "tune":
+        monkeypatch.setattr(tuner, "run_single", _die_in_worker)
+        argv = ["tune", "--in", str(src), "--budget", "10", "--coarse", "0.01,0.03",
+                "--refine-step", "0.0025", "--refine-radius", "0.005"]
+    else:
+        refs = tmp_path / "refs.csv"
+        assert main(["oracle", "--in", str(src), "--out", str(refs)]) == 0
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"method": "zeros", "params": {"time_budget": 10.0}}))
+        monkeypatch.setattr(bench, "run_single", _die_in_worker)
+        argv = ["bench", "--in", str(src), "--spec", str(spec), "--refs", str(refs)]
+    capsys.readouterr()
+    assert main(argv + ["--workers", "2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "terminated abruptly" in captured.err
     assert captured.out == ""
 
 

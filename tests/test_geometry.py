@@ -141,6 +141,29 @@ class TestDistanceMatrix:
             assert np.array_equal(d, d.T)
             assert np.all(np.diagonal(d) == 0.0)
 
+    @pytest.mark.parametrize("n", [2, 17, 100, 1000])
+    def test_bitwise_equals_norm_of_differences(self, n):
+        # the former formula, kept as the oracle: the norm of the (n, n, 2)
+        # difference array
+        def norm_of_differences(pts):
+            return np.linalg.norm(pts[:, None] - pts[None, :], axis=-1)
+
+        for seed in range(4):
+            rng = rng_for(seed, n, "distance")
+            uniform = rng.random((n, 2))
+            # about a third of the coordinates on the 0/1 edges of the square
+            edges = uniform.copy()
+            snap = rng.random((n, 2)) < 0.3
+            edges[snap] = rng.integers(0, 2, int(snap.sum()))
+            # the first n // 2 + 1 points twice
+            duplicates = np.concatenate([uniform, uniform[: n // 2 + 1]])
+            for pts in (uniform, edges, duplicates):
+                if (pts == pts[0]).all():
+                    continue
+                got = distance_matrix(_inst(pts))
+                want = norm_of_differences(pts)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
 
 class TestTourLength:
     def test_unit_square(self):
@@ -173,7 +196,11 @@ class TestTourLength:
             inst = generate_instances(n, 1, seed=seed)[0]
             d = distance_matrix(inst)
             order = rng_for(seed, n, "cycle").permutation(n)
-            assert cycle_length(inst.points, order) == float(d[order, np.roll(order, -1)].sum())
+            length = cycle_length(inst.points, order)
+            assert length == float(d[order, np.roll(order, -1)].sum())
+            # and the former roll-and-norm form, kept as the oracle
+            pts = inst.points[order]
+            assert length == float(np.linalg.norm(pts - np.roll(pts, -1, axis=0), axis=1).sum())
 
     def test_rejects_non_permutations(self):
         inst = _inst(SQUARE)

@@ -232,6 +232,17 @@ class TestGridSearchDispatch:
         grid_search_tau(instances, replace(params, max_actions=20), grid=grid, workers=2)
         assert pool_sizes == [2]
 
+    def test_stage_of_48_solves_goes_in_chunks_of_6(self, pool_chunks):
+        # each stage is 4 temperatures over 12 instances, as in the benchmark's
+        # tune-n50: 24 rounds of one solve at 2 workers, or 4 rounds of 6
+        instances = generate_instances(8, 12, seed=26)
+        params = MctsParams(time_budget=10.0, seed=2, max_actions=20)
+        grid = GridSpec(coarse=(0.005, 0.01, 0.02, 0.04), refine_radius=0.004,
+                        refine_step=0.002)
+        result = grid_search_tau(instances, params, grid=grid, workers=2)
+        assert pool_chunks == [(48, 6), (48, 6)]
+        assert result == grid_search_tau(instances, params, grid=grid, workers=1)
+
     def test_one_worker_forks_no_pool(self, pool_sizes):
         instances, params = self._batch()
         grid_search_tau(instances, replace(params, max_actions=20), grid=self.GRID)
