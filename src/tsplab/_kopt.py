@@ -1,11 +1,13 @@
 """Build and load the compiled search loop, ``_kopt.c``, through ctypes.
 
 The library is compiled on first use, never at import, into
-``$XDG_CACHE_HOME/tsplab`` (default ``~/.cache/tsplab``), or into a private
-directory under the temp dir when that one cannot be written.  Its file name
-hashes the source, the flags and the platform, so an edited source never
-loads a stale build.  Each build writes a temp file and moves it into place
-with ``os.replace``, so processes that build at once leave one whole library.
+``$XDG_CACHE_HOME/tsplab`` (default ``~/.cache/tsplab``, also when the
+variable holds a relative path), or into a private directory under the temp
+dir when that one cannot be written or is not private: owned by another
+user, or writable by group or others.  Its file name hashes the source, the
+flags and the platform, so an edited source never loads a stale build.  Each
+build writes a temp file and moves it into place with ``os.replace``, so
+processes that build at once leave one whole library.
 
 The library exports ``kopt_run`` (the sampling cycle of a solve; one
 sample is one ``kopt_run`` step), ``kopt_construct`` (the restart tour),
@@ -76,9 +78,10 @@ _kernel = None
 def _cache_dirs() -> list[Path]:
     """Where the library may live, in the order tried."""
     dirs = []
-    xdg = os.environ.get("XDG_CACHE_HOME")
+    # the XDG spec says to ignore a relative value
+    xdg = Path(os.environ.get("XDG_CACHE_HOME") or "")
     try:
-        dirs.append((Path(xdg) if xdg else Path.home() / ".cache") / "tsplab")
+        dirs.append((xdg if xdg.is_absolute() else Path.home() / ".cache") / "tsplab")
     except RuntimeError:  # no home directory
         pass
     uid = os.getuid() if hasattr(os, "getuid") else 0
@@ -95,8 +98,13 @@ def library_name() -> str:
 def _private_dir(d: Path) -> None:
     d.mkdir(mode=0o700, parents=True, exist_ok=True)
     # a library planted by someone else would run with this user's rights
-    if hasattr(os, "getuid") and d.stat().st_uid != os.getuid():
+    if not hasattr(os, "getuid"):  # no POSIX owners or modes
+        return
+    st = d.stat()
+    if st.st_uid != os.getuid():
         raise OSError(f"{d} belongs to another user")
+    if st.st_mode & 0o022:
+        raise OSError(f"{d} can be written by other users")
 
 
 def _build(target: Path) -> None:

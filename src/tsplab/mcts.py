@@ -111,25 +111,6 @@ def default_time_budget(n: int, profile: str = "default") -> float:
     raise ValueError(f"unknown budget profile: {profile!r}")
 
 
-@dataclass(frozen=True)
-class KoptAction:
-    """Vertex sequence ``(a1, b1, a2, b2, ..., ak, bk, a1)``.
-
-    Edges ``(a_i, b_i)`` are deleted, edges ``(b_i, a_{i+1})`` added; the
-    final added edge returns to the anchor ``a1``.
-    """
-
-    vertices: tuple[int, ...]
-
-    @property
-    def k(self) -> int:
-        return (len(self.vertices) - 1) // 2
-
-    def added_edges(self) -> list[tuple[int, int]]:
-        v = self.vertices
-        return [(v[2 * i + 1], v[2 * i + 2]) for i in range(self.k)]
-
-
 @dataclass
 class SolveResult:
     best: Tour
@@ -251,8 +232,9 @@ def construct_tour(state: MctsState, rng: np.random.Generator) -> Tour:
     return Tour(state._construct(state, rng).copy())
 
 
-def sample_kopt(state: MctsState, rng: np.random.Generator) -> KoptAction | None:
-    """Sample one k-opt action from the current tour.
+def sample_kopt(state: MctsState, rng: np.random.Generator) -> tuple[int, ...] | None:
+    """Sample one k-opt action from the current tour: its vertex sequence
+    ``(a1, b1, ..., ak, bk, a1)``.
 
     Counts the attempt in ``M`` and the chosen edges in ``Q``.  Returns
     ``None`` when the drawn anchor has no feasible continuation (then
@@ -261,11 +243,12 @@ def sample_kopt(state: MctsState, rng: np.random.Generator) -> KoptAction | None
     cycle: stagnation after one sample, no cap and no time limit.
     """
     _, _, sample = state._run(state, rng, 0, 1, None, math.inf)
-    return None if sample is None else KoptAction(sample[0])
+    return None if sample is None else sample[0]
 
 
-def backpropagate(state: MctsState, c_old: float, c_new: float, action: KoptAction) -> None:
-    """Reward the edges an improving action added.
+def backpropagate(state: MctsState, c_old: float, c_new: float, vertices: tuple[int, ...]) -> None:
+    """Reward the edges ``(b_i, a_{i+1})`` that an improving action, given
+    as its vertex sequence, added.
 
     Every added edge (symmetrically) gains
     ``beta * (exp((c_old - c_new) / c_old) - 1)``.  Requires ``c_new < c_old``.
@@ -275,7 +258,7 @@ def backpropagate(state: MctsState, c_old: float, c_new: float, action: KoptActi
     inc = state.params.beta * (math.exp((c_old - c_new) / c_old) - 1.0)
     W = state.W
     rs = state._row_sums
-    for u, v in action.added_edges():
+    for u, v in zip(vertices[1::2], vertices[2::2]):
         W[u, v] += inc
         W[v, u] += inc
         rs[u] += inc
@@ -312,9 +295,10 @@ def mcts_solve(
     initial and restart 2-opt, which stop with a partly polished tour when
     it runs out.  With ``checkpoints`` given, the result carries a
     ``(time, best_length)`` trace with one entry per checkpoint; the series
-    is non-increasing and ends at the returned best length, unless
-    ``params.max_actions`` stops the search after the last checkpoint:
-    improvements found after it are in the result but not in the trace.
+    is non-increasing.  It ends at the returned best length when its last
+    checkpoint is the budget.  When the search runs on past the last
+    checkpoint, by time or up to ``params.max_actions``, improvements found
+    after it are in the result but not in the trace.
     """
     cps = _validated_checkpoints(checkpoints, params.time_budget)
     # the first solve of a process builds the kernel: not on the budget
@@ -355,7 +339,7 @@ def mcts_solve(
             # re-measure exactly: incremental deltas carry rounding dust
             exact = cycle_length(state.instance.points, new_order)
             if exact < state.current_length:
-                backpropagate(state, state.current_length, exact, KoptAction(vertices))
+                backpropagate(state, state.current_length, exact, vertices)
                 state._set_current(new_order, exact)
                 fails = 0
                 continue

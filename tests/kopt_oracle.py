@@ -10,7 +10,6 @@ collect this module; ``test_mcts.py`` and ``test_acceptance.py`` import it.
 import numpy as np
 
 from tsplab.geometry import Tour, TspInstance, _require_tour
-from tsplab.mcts import KoptAction
 
 
 class InvalidActionError(ValueError):
@@ -21,56 +20,61 @@ def _edge(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-def deleted_edges(action: KoptAction) -> list[tuple[int, int]]:
-    """Edges ``(a_i, b_i)`` that ``action`` removes from the tour."""
-    v = action.vertices
-    return [(v[2 * i], v[2 * i + 1]) for i in range(action.k)]
+def deleted_edges(vertices: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Edges ``(a_i, b_i)`` that the action ``vertices`` removes from the tour."""
+    return list(zip(vertices[0:-1:2], vertices[1::2]))
 
 
-def validate(action: KoptAction, n: int | None = None) -> None:
-    """Raise :class:`InvalidActionError` unless ``action`` is a closed
+def added_edges(vertices: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Edges ``(b_i, a_{i+1})`` that the action ``vertices`` adds; the last
+    returns to the anchor ``a1``."""
+    return list(zip(vertices[1::2], vertices[2::2]))
+
+
+def validate(vertices: tuple[int, ...], n: int | None = None) -> None:
+    """Raise :class:`InvalidActionError` unless ``vertices`` is a closed
     sequence ``(a1, b1, ..., ak, bk, a1)`` with ``k >= 2``, vertices in
     ``range(n)``, no self-loop, no repeated edge, and no edge both deleted
     and added."""
-    v = action.vertices
-    if len(v) < 5 or len(v) % 2 == 0:
+    if len(vertices) < 5 or len(vertices) % 2 == 0:
         raise InvalidActionError("action must be (a1, b1, ..., ak, bk, a1) with k >= 2")
-    if v[0] != v[-1]:
+    if vertices[0] != vertices[-1]:
         raise InvalidActionError("action must close at its anchor vertex")
-    if n is not None and any(not 0 <= x < n for x in v):
+    if n is not None and any(not 0 <= x < n for x in vertices):
         raise InvalidActionError("action vertex out of range")
-    deleted = deleted_edges(action)
-    added = action.added_edges()
+    deleted = deleted_edges(vertices)
+    added = added_edges(vertices)
     dels = {_edge(u, w) for u, w in deleted}
     adds = {_edge(u, w) for u, w in added}
     if any(u == w for u, w in deleted + added):
         raise InvalidActionError("action contains a self-loop edge")
-    if len(dels) != action.k or len(adds) != action.k:
+    k = len(vertices) // 2
+    if len(dels) != k or len(adds) != k:
         raise InvalidActionError("action repeats an edge")
     if dels & adds:
         raise InvalidActionError("action adds an edge it also deletes")
 
 
-def apply_kopt(instance: TspInstance, tour: Tour, action: KoptAction) -> Tour:
-    """Apply ``action`` to ``tour`` by replaying its segment reversals.
+def apply_kopt(instance: TspInstance, tour: Tour, vertices: tuple[int, ...]) -> Tour:
+    """Apply the action ``vertices`` to ``tour`` by replaying its segment
+    reversals.
 
     The action must fit the tour's current orientation: ``b1`` must be the
     successor of ``a1``, and each later ``b_i`` the predecessor of ``a_i``
     at its step.  Raises :class:`InvalidActionError` otherwise.
     """
     _require_tour(instance, tour)
-    validate(action, n=instance.n)
-    seq = action.vertices
+    validate(vertices, n=instance.n)
     base = tour.order
     n = base.shape[0]
-    i0 = int(np.nonzero(base == seq[0])[0][0])
+    i0 = int(np.nonzero(base == vertices[0])[0][0])
     order = np.concatenate([base[i0:], base[:i0]])
     pos = np.empty(n, dtype=np.int64)
     pos[order] = np.arange(n)
-    if int(order[1]) != seq[1]:
+    if int(order[1]) != vertices[1]:
         raise InvalidActionError("b1 is not the tour successor of the anchor a1")
-    for i in range(1, action.k):
-        c, bn = seq[2 * i], seq[2 * i + 1]
+    for i in range(1, len(vertices) // 2):
+        c, bn = vertices[2 * i], vertices[2 * i + 1]
         j = int(pos[c])
         if j < 2 or int(order[j - 1]) != bn:
             raise InvalidActionError(f"edge ({c}, {bn}) is not deletable at step {i + 1}")

@@ -24,7 +24,6 @@ from tsplab.geometry import (
 )
 from tsplab.heatmap import softdist
 from tsplab.mcts import (
-    KoptAction,
     MctsParams,
     backpropagate,
     edge_potential,
@@ -35,7 +34,7 @@ from tsplab.mcts import (
 )
 from tsplab.tuner import default_grid, default_tau, grid_search_tau
 
-from kopt_oracle import apply_kopt, deleted_edges
+from kopt_oracle import added_edges, apply_kopt, deleted_edges
 
 pytestmark = pytest.mark.acceptance
 
@@ -225,7 +224,7 @@ def test_criterion_7_engine_formula_units():
     assert abs(edge_potential(state, 0, 1) - expected) < FORMULA_TOL
 
     before = state.W[1, 2]
-    backpropagate(state, 100.0, 99.0, KoptAction((0, 1, 2, 3, 0)))
+    backpropagate(state, 100.0, 99.0, (0, 1, 2, 3, 0))
     assert abs(state.W[1, 2] - before - 10.0 * (math.exp(0.01) - 1.0)) < FORMULA_TOL
     assert np.array_equal(state.W, state.W.T)
 
@@ -244,7 +243,7 @@ def test_criterion_7_engine_formula_units():
             if action is None:
                 continue
             new_len = tour_length(inst, apply_kopt(inst, base, action))
-            delta = sum(d[u, v] for u, v in action.added_edges()) - sum(
+            delta = sum(d[u, v] for u, v in added_edges(action)) - sum(
                 d[u, v] for u, v in deleted_edges(action)
             )
             assert abs((new_len - base_len) - delta) < FORMULA_TOL

@@ -32,7 +32,6 @@ from tsplab.geometry import (
 )
 from tsplab.heatmap import softdist, zeros_heatmap
 from tsplab.mcts import (
-    KoptAction,
     MctsParams,
     MctsState,
     backpropagate,
@@ -46,7 +45,7 @@ from tsplab.mcts import (
 )
 from tsplab.tuner import default_tau
 
-from kopt_oracle import InvalidActionError, apply_kopt, deleted_edges, validate
+from kopt_oracle import InvalidActionError, added_edges, apply_kopt, deleted_edges, validate
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -331,11 +330,11 @@ class TestSampleKopt:
             if action is None:
                 continue
             found = True
-            assert action.k == 2
+            assert len(action) // 2 == 2
             assert state.M == 1
             assert np.array_equal(state.Q, state.Q.T)
             assert state.Q.sum() == 4  # two symmetric pairs
-            for u, v in action.added_edges():
+            for u, v in added_edges(action):
                 assert state.Q[u, v] == 1 and state.Q[v, u] == 1
             break
         assert found
@@ -361,7 +360,7 @@ class TestSampleKopt:
                 continue
             seen += 1
             validate(action, n=15)
-            assert 2 <= action.k <= 4
+            assert 2 <= len(action) // 2 <= 4
         assert seen > 50
 
     def test_crossing_square_recovery(self):
@@ -384,7 +383,7 @@ class TestSampleKopt:
                 continue
             new = apply_kopt(inst, Tour(crossing.copy()), action)
             if tour_length(inst, new) < crossing_length - 1e-9:
-                assert action.k == 2
+                assert len(action) // 2 == 2
                 assert abs(tour_length(inst, new) - 4.0) < 1e-9
                 found = True
                 break
@@ -396,9 +395,7 @@ class TestApplyKopt:
         inst = generate_instances(9, 1, seed=4)[0]
         order = rng_for(4, 0, "a").permutation(9)
         j = 5
-        action = KoptAction(
-            (int(order[0]), int(order[1]), int(order[j]), int(order[j - 1]), int(order[0]))
-        )
+        action = (int(order[0]), int(order[1]), int(order[j]), int(order[j - 1]), int(order[0]))
         result = apply_kopt(inst, Tour(order.copy()), action)
         expected = order.copy()
         expected[1:j] = expected[1:j][::-1]
@@ -418,7 +415,7 @@ class TestApplyKopt:
                 if action is None:
                     continue
                 new_len = tour_length(inst, apply_kopt(inst, base, action))
-                delta = sum(d[u, v] for u, v in action.added_edges()) - sum(
+                delta = sum(d[u, v] for u, v in added_edges(action)) - sum(
                     d[u, v] for u, v in deleted_edges(action)
                 )
                 assert abs((new_len - base_len) - delta) < 1e-9
@@ -429,62 +426,62 @@ class TestApplyKopt:
         inst = generate_instances(6, 1, seed=5)[0]
         order = np.arange(6)
         # b1=2 is not the successor of a1=0 on the identity tour
-        action = KoptAction((0, 2, 4, 3, 0))
+        action = (0, 2, 4, 3, 0)
         with pytest.raises(InvalidActionError, match="b1 is not the tour successor"):
             apply_kopt(inst, Tour(order), action)
         # b2=5 is the successor of a2=4, not its predecessor
         with pytest.raises(InvalidActionError, match=r"edge \(4, 5\) is not deletable at step 2"):
-            apply_kopt(inst, Tour(order), KoptAction((0, 1, 4, 5, 0)))
+            apply_kopt(inst, Tour(order), (0, 1, 4, 5, 0))
 
     def test_action_validation(self):
         with pytest.raises(InvalidActionError, match="with k >= 2"):
-            validate(KoptAction((0, 1, 2, 3)))  # even length
+            validate((0, 1, 2, 3))  # even length
         with pytest.raises(InvalidActionError, match="close at its anchor"):
-            validate(KoptAction((0, 1, 2, 3, 4)))  # does not close
+            validate((0, 1, 2, 3, 4))  # does not close
         with pytest.raises(InvalidActionError, match="out of range"):
-            validate(KoptAction((0, 1, 3, 4, 0)), n=4)
+            validate((0, 1, 3, 4, 0), n=4)
         with pytest.raises(InvalidActionError, match="self-loop"):
-            validate(KoptAction((0, 0, 2, 3, 0)))
+            validate((0, 0, 2, 3, 0))
         with pytest.raises(InvalidActionError, match="repeats an edge"):
-            validate(KoptAction((0, 1, 0, 1, 0)))
+            validate((0, 1, 0, 1, 0))
         with pytest.raises(InvalidActionError, match="adds an edge it also deletes"):
-            validate(KoptAction((0, 1, 3, 1, 0)))
-        validate(KoptAction((0, 1, 3, 2, 0)), n=4)
+            validate((0, 1, 3, 1, 0))
+        validate((0, 1, 3, 2, 0), n=4)
 
 
 class TestBackpropagate:
     def test_percent_improvement_increment(self):
         state = _state(n=8, beta=10.0)
         before = state.W.copy()
-        action = KoptAction((0, 1, 2, 3, 0))
+        action = (0, 1, 2, 3, 0)
         backpropagate(state, 100.0, 99.0, action)
         inc = 10.0 * (math.exp(0.01) - 1.0)  # 0.10050167084168057
-        for u, v in action.added_edges():
+        for u, v in added_edges(action):
             assert abs(state.W[u, v] - before[u, v] - inc) < 1e-9
             assert abs(state.W[v, u] - before[v, u] - inc) < 1e-9
         touched = np.zeros_like(state.W, dtype=bool)
-        for u, v in action.added_edges():
+        for u, v in added_edges(action):
             touched[u, v] = touched[v, u] = True
         assert np.array_equal(state.W[~touched], before[~touched])
 
     def test_halving_increment(self):
         state = _state(n=8, beta=1.0)
         before = state.W[1, 2]
-        backpropagate(state, 2.0, 1.0, KoptAction((0, 1, 2, 3, 0)))
+        backpropagate(state, 2.0, 1.0, (0, 1, 2, 3, 0))
         assert abs(state.W[1, 2] - before - (math.exp(0.5) - 1.0)) < 1e-9
 
     def test_row_sums_stay_consistent(self):
         state = _state(n=8, beta=5.0)
-        backpropagate(state, 10.0, 9.0, KoptAction((0, 1, 2, 3, 0)))
+        backpropagate(state, 10.0, 9.0, (0, 1, 2, 3, 0))
         for i in range(8):
             assert abs(omega(state, i) - state.W[i].sum() / 7.0) < 1e-12
 
     def test_requires_improvement(self):
         state = _state(n=8)
         with pytest.raises(ValueError):
-            backpropagate(state, 5.0, 5.0, KoptAction((0, 1, 2, 3, 0)))
+            backpropagate(state, 5.0, 5.0, (0, 1, 2, 3, 0))
         with pytest.raises(ValueError):
-            backpropagate(state, 5.0, 6.0, KoptAction((0, 1, 2, 3, 0)))
+            backpropagate(state, 5.0, 6.0, (0, 1, 2, 3, 0))
 
 
 class TestMctsSolve:
@@ -937,7 +934,7 @@ def _accept(py, c, a, b):
     """Accept a candidate on both states as a solve does, so W, the row sums
     and the tour move."""
     for state, (vertices, order, length) in ((py, a[2]), (c, b[2])):
-        backpropagate(state, state.current_length, length, KoptAction(vertices))
+        backpropagate(state, state.current_length, length, vertices)
         state._set_current(order, length)
 
 
@@ -1191,7 +1188,7 @@ class TestCompiledSampler:
         py, c = _twin_states(100, 99, "zeros", 1.0, 10**4, seed=3)
         rng_py, rng_c = rng_for(3, 0, "long"), rng_for(3, 0, "long")
         samples = [_step_both(py, c, rng_py, rng_c) for _ in range(10)]
-        longest = max((KoptAction(a[0]).k for a in samples if a), default=0)
+        longest = max((len(a[0]) // 2 for a in samples if a), default=0)
         assert longest >= 90
 
     def test_context_is_bound_once_per_state(self, monkeypatch):
@@ -1241,6 +1238,35 @@ class TestCompiledSampler:
         for d in dirs:
             assert f"{d}: {d} belongs to another user" in str(raised.value)
         assert not list(tmp_path.rglob("*.so"))
+
+    @pytest.mark.parametrize("mode", [0o777, 0o770], ids=["777", "770"])
+    def test_load_refuses_a_directory_others_can_write(self, mode, tmp_path, monkeypatch):
+        # there another user could plant or replace the library: the kernel
+        # is built in the private directory under the temp dir instead
+        shared = tmp_path / "cache" / "tsplab"
+        shared.mkdir(parents=True)
+        shared.chmod(mode)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "tmp"))
+        monkeypatch.setattr(_kopt, "_kernel", None)
+        _kopt.load()
+        built = tmp_path / "tmp" / f"tsplab-{os.getuid()}" / _kopt.library_name()
+        assert list(tmp_path.rglob("*.so")) == [built]
+        # a cache the fallback cannot reach either fails, naming the mode
+        (tmp_path / "tmp" / f"tsplab-{os.getuid()}").chmod(mode)
+        monkeypatch.setattr(_kopt, "_kernel", None)
+        with pytest.raises(OSError) as raised:
+            _kopt.load()
+        for d in _kopt._cache_dirs():
+            assert f"{d}: {d} can be written by other users" in str(raised.value)
+
+    def test_relative_cache_home_is_ignored(self, tmp_path, monkeypatch):
+        # the XDG spec says a relative XDG_CACHE_HOME is invalid: it must not
+        # put the library under the working directory
+        monkeypatch.setenv("XDG_CACHE_HOME", "relcache")
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(Path, "home", lambda: tmp_path / "home")
+        assert _kopt._cache_dirs()[0] == tmp_path / "home" / ".cache" / "tsplab"
 
     def test_load_falls_back_to_the_temp_dir(self, tmp_path, monkeypatch):
         # a cache home below a regular file cannot be made: the kernel is
