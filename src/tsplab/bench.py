@@ -376,7 +376,6 @@ def run_bench(
     instances: list[TspInstance],
     spec: MctsRunSpec,
     workers: int = 1,
-    checkpoints: list[float] | None = None,
 ) -> list[RunRecord]:
     """Solve every instance under ``spec``; records come back in input order.
 
@@ -389,8 +388,7 @@ def run_bench(
     n = len(instances)
     spec.check_batch(instances)
     with worker_map(workers, n) as solve_map:
-        return list(solve_map(run_single, instances, [spec] * n, instance_ids(n),
-                              [checkpoints] * n))
+        return list(solve_map(run_single, instances, [spec] * n, instance_ids(n)))
 
 
 def aggregate(

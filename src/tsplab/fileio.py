@@ -133,8 +133,9 @@ def parse_heatmap(path) -> np.ndarray:
         else:
             h = _parse_heatmap_text(_read_text(path), path)
     diag = np.diagonal(h)
-    if not np.all(np.isfinite(diag)) or np.any(diag < 0.0):
-        raise ParseError(f"{path}: heatmap diagonal entries must be finite and nonnegative")
+    bad = np.flatnonzero(~(np.isfinite(diag) & (diag >= 0.0)))
+    if bad.size:
+        raise ParseError(f"{path}: heatmap row {bad[0]}: diagonal must be finite and nonnegative")
     np.fill_diagonal(h, 0.0)
     try:
         return validate_heatmap(h)

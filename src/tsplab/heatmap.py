@@ -57,9 +57,12 @@ def validate_heatmap(h: np.ndarray, n: int | None = None) -> np.ndarray:
     if n is not None and h.shape[0] != n:
         raise ValueError(f"heatmap size {h.shape[0]} does not match instance size {n}")
     if not np.all(np.isfinite(h)) or np.any(h < 0.0):
-        raise ValueError("heatmap entries must be finite and nonnegative")
-    if np.any(np.diagonal(h) != 0.0):
-        raise ValueError("heatmap diagonal must be zero")
+        # the n x n mask that finds the row is built only on failure
+        row = np.flatnonzero((~np.isfinite(h) | (h < 0.0)).any(axis=1))[0]
+        raise ValueError(f"heatmap row {row}: entries must be finite and nonnegative")
+    bad = np.flatnonzero(np.diagonal(h))
+    if bad.size:
+        raise ValueError(f"heatmap row {bad[0]}: diagonal must be zero")
     empty = np.flatnonzero(h.sum(axis=1) <= 0.0)
     if empty.size:
         raise ValueError(

@@ -2,7 +2,7 @@
 
 The engine keeps an edge weight matrix ``W`` (seeded from a heatmap), a
 symmetric edge visit-count matrix ``Q``, and a counter ``M`` of actions
-sampled so far.  Edges are scored by
+sampled so far.  The kernel (``pick`` in ``_kopt.c``) scores edges by
 
     potential(i, j) = W[i, j] / omega(i) + alpha * sqrt(ln(M + 1) / (Q[i, j] + 1))
 
@@ -201,24 +201,6 @@ def init_state(
         best_length=length,
         candidates=candidates,
         params=params,
-    )
-
-
-def omega(state: MctsState, i: int) -> float:
-    """Mean weight of edges leaving vertex ``i``."""
-    if not 0 <= i < state.n:
-        raise ValueError("vertex index out of range")
-    return float(state._row_sums[i] / (state.n - 1))
-
-
-def edge_potential(state: MctsState, i: int, j: int) -> float:
-    """Score of directed edge ``(i, j)``: exploitation plus optimism bonus."""
-    if i == j:
-        raise ValueError("edge potential is undefined on the diagonal")
-    if not (0 <= i < state.n and 0 <= j < state.n):
-        raise ValueError("vertex index out of range")
-    return state.W.item(i, j) / omega(state, i) + state.params.alpha * math.sqrt(
-        math.log(state.M + 1.0) / (state.Q.item(i, j) + 1.0)
     )
 
 

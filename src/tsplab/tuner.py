@@ -39,6 +39,9 @@ class GridSpec:
             raise ValueError("coarse grid must be strictly increasing")
         if not 0.0 < self.refine_step < self.refine_radius:
             raise ValueError("need 0 < refine_step < refine_radius")
+        # with the check above, a finite radius makes the step finite too
+        if not math.isfinite(self.refine_radius):
+            raise ValueError("refine_radius must be finite")
 
 
 def default_grid() -> GridSpec:
@@ -113,16 +116,18 @@ def grid_search_tau(
     with worker_map(workers, len(grid.coarse) * len(instances)) as solve_map:
 
         def run(stage) -> None:
-            # the stage's temperatures not yet in the table, each once
-            keys = list(dict.fromkeys(k for k in (round(t, 10) for t in stage) if k not in evals))
+            # the stage's keys not yet in the table, each once
+            keys = list(dict.fromkeys(k for k in stage if k not in evals))
             evals.update(zip(keys, _stage_means(instances, keys, params, solve_map)))
 
-        run(grid.coarse)
+        # a temperature's key is its value rounded to 10 decimals
+        run(round(t, 10) for t in grid.coarse)
         best_coarse = min(evals.items(), key=lambda kv: (kv[1], kv[0]))[0]
 
         steps = int(math.floor(grid.refine_radius / grid.refine_step + 1e-9))
-        refine = [best_coarse + i * grid.refine_step for i in range(-steps, steps + 1)]
-        run([tau for tau in refine if tau > 0.0])
+        refine = (round(best_coarse + i * grid.refine_step, 10) for i in range(-steps, steps + 1))
+        # on the key, not the raw value: float dust just above 0 rounds to 0
+        run(k for k in refine if k > 0.0)
 
     best_tau = min(evals.items(), key=lambda kv: (kv[1], kv[0]))[0]
     return TuneResult(best_tau=best_tau, table=tuple(sorted(evals.items())))

@@ -1,15 +1,50 @@
-"""Test oracles for k-opt actions: the structural checks and the segment
-reversals that an action stands for, written out in Python.
+"""Test oracles for the k-opt search, written out in Python: the edge
+potential, and the structural checks and segment reversals that a k-opt
+action stands for.
 
-A solve never needs these: the kernel builds only well-formed actions and
-applies them itself.  The tests use them to check what it builds, by
-replaying each action on the tour it was drawn from.  Pytest does not
-collect this module; ``test_mcts.py`` and ``test_acceptance.py`` import it.
+A solve never needs these: the kernel scores edges itself, builds only
+well-formed actions and applies them itself.  The tests use them to check
+what it draws and builds, by replaying each action on the tour it was drawn
+from.  Pytest does not collect this module; ``test_mcts.py`` and
+``test_acceptance.py`` import it.
 """
+
+import math
+from collections.abc import Callable
 
 import numpy as np
 
 from tsplab.geometry import Tour, TspInstance, _require_tour
+from tsplab.mcts import MctsState
+
+
+def omega(state: MctsState, i: int) -> float:
+    """Mean weight of edges leaving vertex ``i``."""
+    return state._row_sums.item(i) / (state.n - 1)
+
+
+def scorer(state: MctsState) -> Callable[[int, list[int]], list[float]]:
+    """``potentials(v, targets)``: the edge potential ``(v, u)`` for each
+    ``u`` in ``targets``, as Python floats, at the current ``M``:
+
+        W[v, u] / omega(v) + alpha * sqrt(ln(M + 1) / (Q[v, u] + 1))
+
+    The same IEEE double arithmetic in the same order as ``pick`` in
+    ``_kopt.c``, so the draws over it match the kernel's bit for bit.  The
+    returned function reads ``W``, ``Q`` and the row sums live, but fixes
+    ``M``; make a new one after ``M`` changes.
+    """
+    w = state.W.item
+    q = state.Q.item
+    alpha = state.params.alpha
+    bonus = math.log(state.M + 1.0)
+    sqrt = math.sqrt
+
+    def potentials(v: int, targets: list[int]) -> list[float]:
+        om = omega(state, v)
+        return [w(v, u) / om + alpha * sqrt(bonus / (q(v, u) + 1.0)) for u in targets]
+
+    return potentials
 
 
 class InvalidActionError(ValueError):

@@ -12,7 +12,14 @@ import time
 import numpy as np
 import pytest
 
-from tsplab.bench import MctsRunSpec, compute_score, run_bench
+from tsplab.bench import (
+    MctsRunSpec,
+    compute_score,
+    instance_ids,
+    run_bench,
+    run_single,
+    worker_map,
+)
 from tsplab.fileio import parse_heatmap, parse_instances, write_heatmap, write_instances
 from tsplab.geometry import (
     Tour,
@@ -26,15 +33,13 @@ from tsplab.heatmap import softdist
 from tsplab.mcts import (
     MctsParams,
     backpropagate,
-    edge_potential,
     init_state,
     mcts_solve,
-    omega,
     sample_kopt,
 )
 from tsplab.tuner import default_grid, default_tau, grid_search_tau
 
-from kopt_oracle import added_edges, apply_kopt, deleted_edges
+from kopt_oracle import added_edges, apply_kopt, deleted_edges, omega, scorer
 
 pytestmark = pytest.mark.acceptance
 
@@ -75,19 +80,18 @@ def c5_runs():
     instances = generate_instances(200, 32, seed=7)
     params = MctsParams(time_budget=20.0, seed=0)
     checkpoints = [5.0, 10.0, 20.0]
-    soft = run_bench(
-        instances,
-        MctsRunSpec(method="softdist", params=params, tau=default_tau(200)),
-        workers=8,
-        checkpoints=checkpoints,
-    )
-    zeros = run_bench(
-        instances,
-        MctsRunSpec(method="zeros", params=params),
-        workers=8,
-        checkpoints=checkpoints,
-    )
-    return {"soft": soft, "zeros": zeros, "budget": 20.0, "checkpoints": checkpoints}
+    specs = {
+        "soft": MctsRunSpec(method="softdist", params=params, tau=default_tau(200)),
+        "zeros": MctsRunSpec(method="zeros", params=params),
+    }
+    runs = {"budget": 20.0, "checkpoints": checkpoints}
+    n = len(instances)
+    # traced solves take the path of `tsplab solve --checkpoints`: run_single
+    with worker_map(8, n) as solve_map:
+        for name, spec in specs.items():
+            runs[name] = list(solve_map(run_single, instances, [spec] * n, instance_ids(n),
+                                        [checkpoints] * n))
+    return runs
 
 
 def test_criterion_1_oracle_equivalence(small_suite):
@@ -215,13 +219,15 @@ def test_criterion_7_engine_formula_units():
     assert omega(state, 0) == 50.0
 
     # potential on a uniform row: pure weight ratio, then the exploration
-    # bonus at M=1 with Q=0 and with Q=1
-    assert edge_potential(state, 0, 1) == 1.0
+    # bonus at M=1 with Q=0 and with Q=1.  These check the oracle's formula,
+    # which the kernel's pick() matches bit for bit (test_mcts.py's parity
+    # and cumulative-boundary tests).
+    assert scorer(state)(0, [1]) == [1.0]
     state.M = 1
-    assert abs(edge_potential(state, 0, 1) - (1.0 + math.sqrt(math.log(2.0)))) < FORMULA_TOL
+    assert abs(scorer(state)(0, [1])[0] - (1.0 + math.sqrt(math.log(2.0)))) < FORMULA_TOL
     state.Q[0, 1] = state.Q[1, 0] = 1
     expected = 1.0 + math.sqrt(math.log(2.0) / 2.0)
-    assert abs(edge_potential(state, 0, 1) - expected) < FORMULA_TOL
+    assert abs(scorer(state)(0, [1])[0] - expected) < FORMULA_TOL
 
     before = state.W[1, 2]
     backpropagate(state, 100.0, 99.0, (0, 1, 2, 3, 0))

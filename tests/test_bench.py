@@ -19,6 +19,7 @@ from tsplab.bench import (
     aggregate,
     compute_gap,
     compute_score,
+    instance_ids,
     instance_seed,
     make_heatmap,
     run_bench,
@@ -357,12 +358,11 @@ class TestRunBench:
             run_single(inst, spec, "0")
 
     def test_checkpoints_flow_into_records(self):
+        # the path `tsplab solve --checkpoints` takes
         instances = generate_instances(6, 2, seed=37)
-        params = MctsParams(time_budget=0.06, seed=0)
-        records = run_bench(
-            instances, MctsRunSpec(method="zeros", params=params), checkpoints=[0.02, 0.06]
-        )
-        for r in records:
+        spec = MctsRunSpec(method="zeros", params=MctsParams(time_budget=0.06, seed=0))
+        for iid, inst in zip(instance_ids(2), instances):
+            r = run_single(inst, spec, iid, [0.02, 0.06])
             assert [t for t, _ in r.trace] == [0.02, 0.06]
             assert r.trace[-1][1] == r.length
 

@@ -335,7 +335,9 @@ class TestTuneCmd:
          "error: coarse grid must be non-empty\n"),
         (["--coarse", "0.01", "--refine-step", "0", "--refine-radius", "0.002"], 1,
          "error: need 0 < refine_step < refine_radius\n"),
-    ], ids=["empty-coarse-alone", "empty-coarse", "zero-step"])
+        (["--coarse", "0.0015,0.003", "--refine-step", "0.0003", "--refine-radius", "inf"], 1,
+         "error: refine_radius must be finite\n"),
+    ], ids=["empty-coarse-alone", "empty-coarse", "zero-step", "infinite-radius"])
     def test_given_grid_values_reach_the_grid_checks(self, tmp_path, capsys, monkeypatch,
                                                      grid, code, err):
         # a flag given as empty or zero is given, not absent

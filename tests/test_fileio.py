@@ -161,6 +161,23 @@ class TestHeatmapFiles:
             parse_heatmap(p)
         assert str(err.value).startswith(f"{p}: heatmap row 2 has zero total mass")
 
+    @pytest.mark.parametrize("binary", [True, False], ids=["binary", "text"])
+    @pytest.mark.parametrize("row, col, value, message", [
+        (2, 0, -1.0, "entries must be finite and nonnegative"),
+        (3, 1, np.inf, "entries must be finite and nonnegative"),
+        (1, 1, np.nan, "diagonal must be finite and nonnegative"),
+    ], ids=["negative", "inf", "nan-diagonal"])
+    def test_bad_entry_names_file_and_row(self, tmp_path, binary, row, col, value, message):
+        h = np.ones((5, 5))
+        h[row, col] = value
+        # a later row is bad the same way
+        h[4, 4 if row == col else 0] = value
+        p = tmp_path / "h.hmap"
+        write_heatmap(p, h, binary=binary)
+        with pytest.raises(ParseError) as err:
+            parse_heatmap(p)
+        assert str(err.value) == f"{p}: heatmap row {row}: {message}"
+
 
 class TestRefLengthFiles:
     def test_round_trip(self, tmp_path):

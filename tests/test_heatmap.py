@@ -195,25 +195,29 @@ class TestCandidateSetsExactness:
 
 
 class TestValidateHeatmap:
+    # each refusal names the first offending row; a later row is bad too
+
     def test_rejects_negative(self):
         h = zeros_heatmap(4)
-        h[1, 2] = -1e-12
-        with pytest.raises(ValueError):
+        h[1, 2] = h[3, 0] = -1e-12
+        with pytest.raises(ValueError, match="^heatmap row 1: entries must be finite and nonneg"):
             validate_heatmap(h)
 
     def test_rejects_nonzero_diagonal(self):
         h = zeros_heatmap(4)
-        h[2, 2] = 0.1
-        with pytest.raises(ValueError):
+        h[2, 2] = h[3, 3] = 0.1
+        with pytest.raises(ValueError, match="^heatmap row 2: diagonal must be zero$"):
             validate_heatmap(h)
 
     def test_rejects_nonsquare_and_nan(self):
         with pytest.raises(ValueError):
             validate_heatmap(np.zeros((3, 4)))
-        h = zeros_heatmap(4)
-        h[0, 1] = np.nan
-        with pytest.raises(ValueError):
-            validate_heatmap(h)
+        for value in (np.nan, np.inf):
+            h = zeros_heatmap(4)
+            h[2, 1] = value
+            h[3, 0] = -1.0
+            with pytest.raises(ValueError, match="^heatmap row 2: entries must be finite"):
+                validate_heatmap(h)
 
     def test_rejects_size_mismatch(self):
         with pytest.raises(ValueError):

@@ -11,7 +11,6 @@ import time
 import tracemalloc
 from bisect import bisect_right
 from collections import Counter
-from collections.abc import Callable
 from itertools import accumulate
 from pathlib import Path
 
@@ -37,15 +36,21 @@ from tsplab.mcts import (
     backpropagate,
     construct_tour,
     default_time_budget,
-    edge_potential,
     init_state,
     mcts_solve,
-    omega,
     sample_kopt,
 )
 from tsplab.tuner import default_tau
 
-from kopt_oracle import InvalidActionError, added_edges, apply_kopt, deleted_edges, validate
+from kopt_oracle import (
+    InvalidActionError,
+    added_edges,
+    apply_kopt,
+    deleted_edges,
+    omega,
+    scorer,
+    validate,
+)
 
 SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -183,50 +188,33 @@ class TestOmega:
         state = _state(instance=generate_instances(6, 1, seed=2)[0], heatmap=zeros_heatmap(6))
         assert math.isclose(omega(state, 0), 1e-8, rel_tol=1e-12)
 
-    def test_rejects_bad_vertex(self):
-        state = _state(n=5)
-        with pytest.raises(ValueError):
-            omega(state, 5)
-
 
 class TestEdgePotential:
+    # hand values for the oracle's formula, which the kernel's pick() matches
+    # bit for bit (the parity and cumulative-boundary tests)
     def test_fresh_state_is_exactly_one(self):
         state = _state(n=8, alpha=3.7)
         # ln(M + 1) = 0, so only W / omega remains, and the row is uniform
-        assert edge_potential(state, 0, 1) == 1.0
+        assert scorer(state)(0, [1]) == [1.0]
 
     def test_after_one_action_unvisited_edge(self):
         state = _state(n=8, alpha=1.0)
         state.M = 1
         expected = 1.0 + math.sqrt(math.log(2.0))  # 1.8325546111576977
-        assert abs(edge_potential(state, 0, 1) - expected) < 1e-9
+        assert abs(scorer(state)(0, [1])[0] - expected) < 1e-9
 
     def test_after_one_action_visited_edge(self):
         state = _state(n=8, alpha=1.0)
         state.M = 1
         state.Q[0, 1] = state.Q[1, 0] = 1
         expected = 1.0 + math.sqrt(math.log(2.0) / 2.0)  # 1.5887050112577373
-        assert abs(edge_potential(state, 0, 1) - expected) < 1e-9
+        assert abs(scorer(state)(0, [1])[0] - expected) < 1e-9
 
     def test_alpha_zero_reduces_to_weight_ratio(self):
         state = _state(n=8, alpha=0.0)
         state.M = 17
         state.Q[0, 1] = state.Q[1, 0] = 5
-        assert edge_potential(state, 0, 1) == 1.0
-
-    def test_matches_the_oracle_on_every_candidate(self):
-        # bit for bit the potentials the sampler and restart oracles draw by
-        for case, (heatmap, alpha, _, _) in enumerate(PARITY_CASES):
-            state = _parity_state(50, 5, heatmap, alpha, 10, seed=case)
-            _warm(state, rng_for(case, 0, "warm"))
-            potentials = _scorer(state)
-            for v, row in enumerate(state.candidates.tolist()):
-                assert [edge_potential(state, v, u) for u in row] == potentials(v, row)
-
-    def test_rejects_diagonal(self):
-        state = _state(n=5)
-        with pytest.raises(ValueError):
-            edge_potential(state, 2, 2)
+        assert scorer(state)(0, [1]) == [1.0]
 
     def test_scale_invariance_at_m_zero(self):
         inst = generate_instances(10, 1, seed=7)[0]
@@ -234,9 +222,9 @@ class TestEdgePotential:
         a = _state(instance=inst, heatmap=h)
         b = _state(instance=inst, heatmap=1000.0 * h)
         assert np.array_equal(a.candidates, b.candidates)
-        for v in range(10):
-            for c in a.candidates[v].tolist():
-                assert math.isclose(edge_potential(a, v, c), edge_potential(b, v, c), rel_tol=1e-12)
+        for v, row in enumerate(a.candidates.tolist()):
+            for pa, pb in zip(scorer(a)(v, row), scorer(b)(v, row)):
+                assert math.isclose(pa, pb, rel_tol=1e-12)
 
 
 def _reference_pick(z: np.ndarray, rng: np.random.Generator) -> int:
@@ -666,28 +654,6 @@ def _golden_solve(name: str) -> tuple:
 # compiled ones are held to.
 
 
-def _scorer(state: MctsState) -> Callable[[int, list[int]], list[float]]:
-    """``potentials(v, targets)``: ``potential(v, u)`` for each ``u`` in
-    ``targets``, as Python floats, at the current ``M``.
-
-    The returned function reads ``W``, ``Q`` and the row sums live, but
-    fixes ``M``; make a new one after ``M`` changes.
-    """
-    w = state.W.item
-    q = state.Q.item
-    row_sum = state._row_sums.item
-    n1 = state.n - 1
-    alpha = state.params.alpha
-    bonus = math.log(state.M + 1.0)
-    sqrt = math.sqrt
-
-    def potentials(v: int, targets: list[int]) -> list[float]:
-        om = row_sum(v) / n1
-        return [w(v, u) / om + alpha * sqrt(bonus / (q(v, u) + 1.0)) for u in targets]
-
-    return potentials
-
-
 def _pick(z: list[float], rng: np.random.Generator) -> int:
     """Index sampled proportionally to ``z`` (uniform if ``z`` is degenerate).
 
@@ -714,7 +680,7 @@ def _construct_order(state: MctsState, rng: np.random.Generator) -> np.ndarray:
     order[0] = v
     visited[v] = True
     is_visited = visited.item
-    potentials = _scorer(state)
+    potentials = scorer(state)
     for i in range(1, n):
         open_ = [c for c in cand_lists[v] if not is_visited(c)]
         if open_:
@@ -774,7 +740,7 @@ def _sample_action(
     # the dense matrix pins the kernel's distances to numpy's bit for bit
     dist = distance_matrix(state.instance).item
     cand_lists = state.candidates.tolist()
-    potentials = _scorer(state)
+    potentials = scorer(state)
     b = at(1)
     c0 = state.current_length
     length = c0

@@ -79,6 +79,8 @@ class TestGridSpec:
             GridSpec(coarse=(0.01,), refine_radius=0.001, refine_step=0.001)
         with pytest.raises(ValueError):
             GridSpec(coarse=(0.01,), refine_radius=0.001, refine_step=0.0)
+        with pytest.raises(ValueError, match="refine_radius must be finite"):
+            GridSpec(coarse=(0.01,), refine_radius=math.inf, refine_step=0.0001)
 
     def test_step_must_be_below_radius(self):
         grid = GridSpec(coarse=(0.01,), refine_radius=0.001, refine_step=0.0009)
@@ -144,9 +146,14 @@ class TestGridSearchStubbed:
             return [1.0 if tau > 0.0015 else 0.5 for tau in taus]
 
         monkeypatch.setattr("tsplab.tuner._stage_means", stub)
-        grid = GridSpec(coarse=(0.0001, 0.01), refine_radius=0.0005, refine_step=0.0002)
-        grid_search_tau(_BATCH, MctsParams(time_budget=1.0), grid=grid)
-        assert all(t > 0.0 for t in seen)
+        for grid in (
+            GridSpec(coarse=(0.0001, 0.01), refine_radius=0.0005, refine_step=0.0002),
+            # 0.0015 - 5 * 0.0003 is 2.2e-19, whose table key rounds to 0
+            GridSpec(coarse=(0.0015,), refine_radius=0.0015, refine_step=0.0003),
+        ):
+            seen.clear()
+            grid_search_tau(_BATCH, MctsParams(time_budget=1.0), grid=grid)
+            assert seen and all(t > 0.0 for t in seen)
 
 
 class TestEvaluateTau:
