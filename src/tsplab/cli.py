@@ -47,15 +47,15 @@ def _usage(msg: str) -> int:
     return 2
 
 
-def _wrote(args: argparse.Namespace, command: str, what: str, **extra) -> None:
-    """Drop the manifest of ``--out`` (every scalar argument plus ``extra``)
-    beside it and print ``wrote <what>``."""
+def _wrote(args: argparse.Namespace, command: str, what: str, artifact=None, **extra) -> None:
+    """Drop the manifest (every scalar argument plus ``extra``) beside
+    ``artifact``, by default ``--out``, and print ``wrote <what>``."""
     params = {
         k: v
         for k, v in vars(args).items()
         if k not in ("func", "command") and (v is None or isinstance(v, (str, int, float, bool)))
     }
-    write_manifest(args.out, command, params | extra, __version__)
+    write_manifest(artifact or args.out, command, params | extra, __version__)
     print(f"wrote {what}")
 
 
@@ -154,14 +154,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
         _wrote(args, "solve", f"lengths to {args.out}")
     if args.trace is not None:
         write_traces(args.trace, {r.instance_id: r.trace for r in records})
-        print(f"wrote traces to {args.trace}")
+        _wrote(args, "solve", f"traces to {args.trace}", artifact=args.trace)
     return 0
 
 
 def cmd_tune(args: argparse.Namespace) -> int:
-    instances = [inst for inst, _ in parse_instances(args.infile)]
-    params = MctsParams(time_budget=args.budget, seed=args.seed, max_actions=args.max_actions)
-    grid = None
+    grid = GridSpec()
     given = [v is not None for v in (args.coarse, args.refine_step, args.refine_radius)]
     if any(given):
         if not all(given):
@@ -171,6 +169,8 @@ def cmd_tune(args: argparse.Namespace) -> int:
             refine_radius=args.refine_radius,
             refine_step=args.refine_step,
         )
+    params = MctsParams(time_budget=args.budget, seed=args.seed, max_actions=args.max_actions)
+    instances = [inst for inst, _ in parse_instances(args.infile)]
     result = grid_search_tau(instances, params, grid, workers=args.workers)
     _write_out(args, "tune", render_tune_table(result, args.report), "tuning table")
     print(f"best tau: {result.best_tau:g}")

@@ -42,7 +42,7 @@ import math
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -79,6 +79,8 @@ class MctsParams:
         # every field is numeric; a JSON true/false would pass as 1/0
         if any(isinstance(v, bool) for v in vars(self).values()):
             raise ValueError("search parameters must be numbers, not booleans")
+        if not all(isinstance(v, Real) for v in (self.time_budget, self.alpha, self.beta)):
+            raise ValueError("time_budget, alpha and beta must be real numbers")
         if not np.isfinite(self.time_budget) or self.time_budget <= 0.0:
             raise ValueError("time_budget must be positive")
         # written so that NaN fails too

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -24,33 +24,40 @@ _TAU_ANCHORS: tuple[tuple[int, float], ...] = ((500, 0.0066), (1000, 0.0051), (1
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Two-stage search grid: coarse points, then ``best +- radius`` by ``step``."""
+    """Two-stage search grid: coarse points, then ``best +- radius`` by ``step``.
 
-    coarse: tuple[float, ...]
-    refine_radius: float
-    refine_step: float
+    A temperature's key, the value it is solved and tabled at, is its value
+    rounded to 10 decimals; ``coarse`` holds the coarse points' keys, and
+    the checks run on them.  The defaults sweep 0.0010 to 0.0100 by 0.0010,
+    then refine by 0.0001 within 0.0010 of the coarse winner.
+    """
+
+    coarse: tuple[float, ...] = tuple(round(0.0010 * i, 4) for i in range(1, 11))
+    refine_radius: float = 0.0010
+    refine_step: float = 0.0001
 
     def __post_init__(self) -> None:
+        # frozen, so the keys replace the given values through object.__setattr__
+        object.__setattr__(self, "coarse", tuple(round(t, 10) for t in self.coarse))
         if not self.coarse:
             raise ValueError("coarse grid must be non-empty")
         if any(not math.isfinite(t) or t <= 0.0 for t in self.coarse):
-            raise ValueError("coarse grid temperatures must be positive")
+            raise ValueError(f"coarse temperatures must be positive at 10 decimals: {self.coarse}")
         if any(b <= a for a, b in zip(self.coarse, self.coarse[1:])):
-            raise ValueError("coarse grid must be strictly increasing")
+            raise ValueError(f"coarse temperatures must increase at 10 decimals: {self.coarse}")
         if not 0.0 < self.refine_step < self.refine_radius:
             raise ValueError("need 0 < refine_step < refine_radius")
         # with the check above, a finite radius makes the step finite too
         if not math.isfinite(self.refine_radius):
             raise ValueError("refine_radius must be finite")
 
-
-def default_grid() -> GridSpec:
-    """0.0010 to 0.0100 in steps of 0.0010; refine radius 0.0010, step 0.0001."""
-    return GridSpec(
-        coarse=tuple(round(0.0010 * i, 4) for i in range(1, 11)),
-        refine_radius=0.0010,
-        refine_step=0.0001,
-    )
+    def refine(self, center: float) -> list[float]:
+        """The refine stage's new keys around the key ``center``, increasing:
+        positive, each once, and none of them a coarse point."""
+        steps = int(math.floor(self.refine_radius / self.refine_step + 1e-9))
+        # on the key, not the raw value: float dust just above 0 rounds to 0
+        keys = (round(center + i * self.refine_step, 10) for i in range(-steps, steps + 1))
+        return list(dict.fromkeys(k for k in keys if k > 0.0 and k not in self.coarse))
 
 
 @dataclass(frozen=True)
@@ -60,7 +67,7 @@ class TuneResult:
 
 
 def _stage_means(
-    instances: list[TspInstance], taus: list[float], params: MctsParams, solve_map: Callable
+    instances: list[TspInstance], taus: Sequence[float], params: MctsParams, solve_map: Callable
 ) -> list[float]:
     """Mean searched length over ``instances`` at each of ``taus``, in order.
 
@@ -94,14 +101,15 @@ def evaluate_tau(
 def grid_search_tau(
     instances: list[TspInstance],
     params: MctsParams,
-    grid: GridSpec | None = None,
+    grid: GridSpec = GridSpec(),
     workers: int = 1,
 ) -> TuneResult:
     """Two-stage temperature search minimizing mean searched length.
 
-    Every evaluated temperature appears in the result table exactly once
-    (refine points that repeat a coarse point are not re-run).  Ties on the
-    objective break toward the smaller temperature.
+    Every evaluated temperature appears in the result table exactly once,
+    keyed as in :class:`GridSpec` (refine points that repeat a coarse point
+    are not re-run).  Ties on the objective break toward the smaller
+    temperature.
 
     One :func:`~tsplab.bench.worker_map` serves the whole search, so at most
     one pool of at most ``min(workers, coarse solves)`` processes is forked.
@@ -109,28 +117,16 @@ def grid_search_tau(
     then every new refine temperature.  The table is the same at any worker
     count (see :func:`evaluate_tau`).
     """
-    if grid is None:
-        grid = default_grid()
-    evals: dict[float, float] = {}
-
     with worker_map(workers, len(grid.coarse) * len(instances)) as solve_map:
+        evals = dict(zip(grid.coarse, _stage_means(instances, grid.coarse, params, solve_map)))
+        refine = grid.refine(_argmin(evals))
+        evals.update(zip(refine, _stage_means(instances, refine, params, solve_map)))
+    return TuneResult(best_tau=_argmin(evals), table=tuple(sorted(evals.items())))
 
-        def run(stage) -> None:
-            # the stage's keys not yet in the table, each once
-            keys = list(dict.fromkeys(k for k in stage if k not in evals))
-            evals.update(zip(keys, _stage_means(instances, keys, params, solve_map)))
 
-        # a temperature's key is its value rounded to 10 decimals
-        run(round(t, 10) for t in grid.coarse)
-        best_coarse = min(evals.items(), key=lambda kv: (kv[1], kv[0]))[0]
-
-        steps = int(math.floor(grid.refine_radius / grid.refine_step + 1e-9))
-        refine = (round(best_coarse + i * grid.refine_step, 10) for i in range(-steps, steps + 1))
-        # on the key, not the raw value: float dust just above 0 rounds to 0
-        run(k for k in refine if k > 0.0)
-
-    best_tau = min(evals.items(), key=lambda kv: (kv[1], kv[0]))[0]
-    return TuneResult(best_tau=best_tau, table=tuple(sorted(evals.items())))
+def _argmin(evals: dict[float, float]) -> float:
+    """The temperature of least mean length, the smaller one on a tie."""
+    return min(evals, key=lambda tau: (evals[tau], tau))
 
 
 def default_tau(n: int) -> float:

@@ -37,7 +37,7 @@ from tsplab.mcts import (
     mcts_solve,
     sample_kopt,
 )
-from tsplab.tuner import default_grid, default_tau, grid_search_tau
+from tsplab.tuner import GridSpec, default_tau, grid_search_tau
 
 from kopt_oracle import added_edges, apply_kopt, deleted_edges, omega, scorer
 
@@ -178,7 +178,7 @@ def test_criterion_4_tuner_interior_minimum():
     # be decided by per-temperature noise.  Where the cap binds first, the
     # table is bitwise reproducible.
     params = MctsParams(time_budget=2.0, seed=0, max_actions=60_000)
-    result = grid_search_tau(instances, params, default_grid(), workers=8)
+    result = grid_search_tau(instances, params, GridSpec(), workers=8)
     table = dict(result.table)
     left, right = table[0.0010], table[0.0100]
     best = result.best_tau

@@ -209,6 +209,23 @@ class TestSolveCmd:
             assert all(b <= a + 1e-12 for a, b in zip(series, series[1:]))
             assert series[-1] == lengths[iid]
 
+    @pytest.mark.parametrize("with_out", [False, True])
+    def test_trace_gets_a_manifest(self, tmp_path, capsys, with_out):
+        src = _gen(tmp_path, count=1)
+        out = tmp_path / "lengths.csv"
+        trace = tmp_path / "trace.csv"
+        argv = ["solve", "--in", str(src), "--budget", "0.05", "--max-actions", "20",
+                "--trace", str(trace), "--checkpoints", "0.05"]
+        assert main(argv + (["--out", str(out)] if with_out else [])) == 0
+        manifest = json.loads((tmp_path / "trace.csv.manifest.json").read_text())
+        assert manifest["command"] == "solve"
+        assert manifest["parameters"]["trace"] == str(trace)
+        assert manifest["parameters"]["checkpoints"] == "0.05"
+        if with_out:
+            lengths = json.loads((tmp_path / "lengths.csv.manifest.json").read_text())
+            assert manifest == lengths
+        assert f"wrote traces to {trace}\n" in capsys.readouterr().out
+
     def test_trace_requires_checkpoints(self, tmp_path, capsys):
         src = _gen(tmp_path, count=1)
         assert main(["solve", "--in", str(src), "--budget", "0.05",
@@ -337,7 +354,15 @@ class TestTuneCmd:
          "error: need 0 < refine_step < refine_radius\n"),
         (["--coarse", "0.0015,0.003", "--refine-step", "0.0003", "--refine-radius", "inf"], 1,
          "error: refine_radius must be finite\n"),
-    ], ids=["empty-coarse-alone", "empty-coarse", "zero-step", "infinite-radius"])
+        # temperatures are keyed at 10 decimals: these keys are 0, or repeat
+        (["--coarse", "0.00000000001,0.00000000002", "--refine-step", "0.000000000001",
+          "--refine-radius", "0.000000000002"], 1,
+         "error: coarse temperatures must be positive at 10 decimals: (0.0, 0.0)\n"),
+        (["--coarse", "0.00100000000001,0.00100000000002,0.002", "--refine-step", "0.0005",
+          "--refine-radius", "0.001"], 1,
+         "error: coarse temperatures must increase at 10 decimals: (0.001, 0.001, 0.002)\n"),
+    ], ids=["empty-coarse-alone", "empty-coarse", "zero-step", "infinite-radius",
+            "keys-round-to-zero", "keys-repeat"])
     def test_given_grid_values_reach_the_grid_checks(self, tmp_path, capsys, monkeypatch,
                                                      grid, code, err):
         # a flag given as empty or zero is given, not absent
@@ -503,6 +528,13 @@ class TestBenchCmd:
         assert "error:" in captured.err
         assert "Traceback" not in captured.err
 
+    # numbers written as strings, refused by name and not by numpy
+    STRING_NUMBERS = [
+        {"method": "zeros", "params": {"time_budget": "1"}},
+        {"method": "zeros", "params": {"time_budget": 10.0, "alpha": "1"}},
+        {"method": "zeros", "params": {"time_budget": 10.0, "beta": "10"}},
+    ]
+
     @pytest.mark.parametrize("spec_data", [
         {"method": "softdist", "tau": True, "params": {"time_budget": 10.0}},
         {"method": "softdist", "tau": math.nan, "params": {"time_budget": 10.0}},
@@ -512,6 +544,7 @@ class TestBenchCmd:
         {"method": "zeros", "params": {"time_budget": -1}},
         {"method": "zeros", "workers": 8, "heatmap_dir": "x", "params": {"time_budget": 10.0}},
         ["zeros", {"time_budget": 10.0}],
+        *STRING_NUMBERS,
     ])
     def test_bad_value_fails_before_any_solve(self, tmp_path, capsys, monkeypatch, spec_data):
         src, refs, spec = self._setup(tmp_path)
@@ -523,6 +556,10 @@ class TestBenchCmd:
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: {spec}: bad run spec: ")
         assert "Traceback" not in captured.err
+        if spec_data in self.STRING_NUMBERS:
+            assert captured.err == (
+                f"error: {spec}: bad run spec: time_budget, alpha and beta must be real numbers\n"
+            )
 
     @pytest.mark.parametrize("flag, rows, err", [
         ("--refs", None, "No such file"),
@@ -760,6 +797,7 @@ GOLDEN_ARTIFACTS = {
     "small.txt": "54cbb725e581479f",
     "small.txt.manifest.json": "31b2608432465c4f",
     "trace.csv": "ef91136d302c4403",
+    "trace.csv.manifest.json": "1aa0cdd6eda9289e",
     "tune.csv": "05e2158347dc6dd0",
     "tune.csv.manifest.json": "731d3e433131e548",
 }

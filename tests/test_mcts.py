@@ -108,6 +108,10 @@ class TestParams:
         ):
             with pytest.raises(ValueError):
                 MctsParams(time_budget=1.0, **bad)
+        # a number written as a string is refused by name, not by numpy
+        for bad in (dict(time_budget="1"), dict(alpha="1"), dict(beta="10")):
+            with pytest.raises(ValueError, match="time_budget, alpha and beta must be real"):
+                MctsParams(**{"time_budget": 1.0, **bad})
 
     def test_default_time_budget(self):
         assert default_time_budget(500) == 50.0

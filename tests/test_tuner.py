@@ -1,4 +1,5 @@
 import math
+import random
 from dataclasses import replace
 
 import pytest
@@ -10,7 +11,6 @@ from tsplab.mcts import MctsParams, mcts_solve
 from tsplab.tuner import (
     GridSpec,
     TuneResult,
-    default_grid,
     default_tau,
     evaluate_tau,
     grid_search_tau,
@@ -61,7 +61,7 @@ class TestDefaultTau:
 
 class TestGridSpec:
     def test_default_grid_contents(self):
-        grid = default_grid()
+        grid = GridSpec()
         assert grid.coarse == tuple(round(0.0010 * i, 4) for i in range(1, 11))
         assert grid.refine_radius == 0.0010
         assert grid.refine_step == 0.0001
@@ -81,6 +81,14 @@ class TestGridSpec:
             GridSpec(coarse=(0.01,), refine_radius=0.001, refine_step=0.0)
         with pytest.raises(ValueError, match="refine_radius must be finite"):
             GridSpec(coarse=(0.01,), refine_radius=math.inf, refine_step=0.0001)
+        # a temperature's key is its value at 10 decimals: these round to
+        # (0.0, 0.0), and to (0.001, 0.001, 0.002)
+        with pytest.raises(ValueError, match=r"positive at 10 decimals: \(0\.0, 0\.0\)"):
+            GridSpec(coarse=(0.00000000001, 0.00000000002), refine_radius=0.000000000002,
+                     refine_step=0.000000000001)
+        with pytest.raises(ValueError, match=r"increase at 10 decimals: \(0\.001, 0\.001, 0"):
+            GridSpec(coarse=(0.00100000000001, 0.00100000000002, 0.002), refine_radius=0.001,
+                     refine_step=0.0005)
 
     def test_step_must_be_below_radius(self):
         grid = GridSpec(coarse=(0.01,), refine_radius=0.001, refine_step=0.0009)
@@ -154,6 +162,75 @@ class TestGridSearchStubbed:
             seen.clear()
             grid_search_tau(_BATCH, MctsParams(time_budget=1.0), grid=grid)
             assert seen and all(t > 0.0 for t in seen)
+
+
+def _parent_search(grid: GridSpec, coarse, means):
+    """The stage key lists, best and table of the two-stage search, by the
+    expressions ``grid_search_tau`` used before ``GridSpec`` owned its keys.
+
+    ``coarse`` is the grid's coarse points as given, and ``means`` maps a
+    stage's keys to their mean lengths.
+    """
+    evals, stages = {}, []
+
+    def run(stage):
+        keys = list(dict.fromkeys(k for k in stage if k not in evals))
+        stages.append(keys)
+        evals.update(zip(keys, means(keys)))
+
+    run(round(t, 10) for t in coarse)
+    best_coarse = min(evals.items(), key=lambda kv: (kv[1], kv[0]))[0]
+    steps = int(math.floor(grid.refine_radius / grid.refine_step + 1e-9))
+    refine = (round(best_coarse + i * grid.refine_step, 10) for i in range(-steps, steps + 1))
+    run(k for k in refine if k > 0.0)
+    best = min(evals.items(), key=lambda kv: (kv[1], kv[0]))[0]
+    return stages, best, tuple(sorted(evals.items()))
+
+
+def _random_grids(count, seed):
+    """Grids whose points are integer multiples of a random step, so that
+    refine points repeat coarse ones, carry float dust and reach 0."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        step = rng.choice((0.0001, 0.0002, 0.0003, 0.0005, 0.001, 0.0025)) * rng.choice((1, 3, 7))
+        coarse = sorted({step * rng.randint(1, 12) for _ in range(rng.randint(1, 6))})
+        radius = step * rng.choice((1.5, 2, 3, 10 / 3, 5))
+        yield coarse, radius, step
+
+
+class TestGridStageKeys:
+    # coarse points as given, refine radius, refine step
+    GRIDS = [
+        (GridSpec().coarse, 0.0010, 0.0001),  # the default grid
+        ((0.005, 0.01, 0.02, 0.04), 0.004, 0.002),  # the benchmark's tune-n50
+        ((0.01, 0.02), 0.01, 0.005),  # the benchmark smoke test's
+        ((0.0015,), 0.0015, 0.0003),  # a refine point of 2.2e-19
+        *_random_grids(300, seed=0),
+    ]
+
+    @pytest.mark.parametrize("landscape", [7, 8, 9])
+    def test_stages_and_table_match_the_parent_expressions(self, monkeypatch, landscape):
+        # mean lengths rounded to 2 decimals, so that ties come up
+        def mean(tau):
+            return round(abs(math.sin(tau * 1000.0 * landscape)), 2)
+
+        def means(keys):
+            return [mean(k) for k in keys]
+
+        sent = []
+
+        def stub(instances, taus, params, solve_map):
+            sent.append(list(taus))
+            return means(taus)
+
+        monkeypatch.setattr("tsplab.tuner._stage_means", stub)
+        for coarse, radius, step in self.GRIDS:
+            grid = GridSpec(coarse=tuple(coarse), refine_radius=radius, refine_step=step)
+            sent.clear()
+            result = grid_search_tau(_BATCH, MctsParams(time_budget=1.0), grid=grid)
+            stages, best, table = _parent_search(grid, coarse, means)
+            assert sent == stages, grid
+            assert (result.best_tau, result.table) == (best, table), grid
 
 
 class TestEvaluateTau:
